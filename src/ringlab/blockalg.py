@@ -20,8 +20,6 @@ monomial is (block, mask) with the constant written (0, 0).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import CapacityExceeded, InvalidQuery
 
 STAGE_CAP = 6

@@ -17,10 +17,10 @@ import networkx as nx
 
 from .errors import CapacityExceeded, InvalidQuery, UnboundedElement
 from .idealization import idealize
-from .modules import FiniteModule, is_bfm, is_semisimple
+from .modules import FiniteModule, cycle_witness, divisor_graph_over, is_bfm, is_semisimple
 from .rings import (
     FiniteRing,
-    Ideal,
+    chain_height,
     ideal_product,
     is_field,
     is_local,
@@ -31,7 +31,6 @@ from .rings import (
     min_primes,
     nonunits,
     principal_ideal,
-    units,
 )
 
 # ---------------------------------------------------------------------------
@@ -42,21 +41,18 @@ def associates(R: FiniteRing, a: int, b: int) -> bool:
     return principal_ideal(R, a).members == principal_ideal(R, b).members
 
 
-def associate_class_rep(R: FiniteRing) -> dict[int, int]:
+def associate_class_rep(R: FiniteRing) -> list[int]:
     """Map each element to the minimal index generating the same principal ideal."""
     if "assoc_rep" not in R._cache:
         by_ideal: dict[frozenset, int] = {}
-        rep = {}
-        for a in R.elements():
-            mem = principal_ideal(R, a).members
-            if mem not in by_ideal:
-                by_ideal[mem] = a
-            rep[a] = by_ideal[mem]
-        R._cache["assoc_rep"] = rep
+        R._cache["assoc_rep"] = [
+            by_ideal.setdefault(principal_ideal(R, a).members, a) for a in R.elements()
+        ]
     return R._cache["assoc_rep"]
 
 
 def is_atom(R: FiniteRing, a: int) -> bool:
+    """The definition, element by element; ``atoms`` must agree with it."""
     if is_unit(R, a):
         raise InvalidQuery("atoms are nonunits")
     for b in R.elements():
@@ -67,8 +63,23 @@ def is_atom(R: FiniteRing, a: int) -> bool:
 
 
 def atoms(R: FiniteRing) -> frozenset:
+    """Nonunits a such that a = bc implies a ~ b or a ~ c, in one sweep.
+
+    Each product a = bc with a associate to neither factor marks a. A
+    unit factor never marks (a = bc with b a unit makes a ~ c), and the
+    table is symmetric, so the sweep covers nonunit pairs b <= c.
+    """
     if "atoms" not in R._cache:
-        R._cache["atoms"] = frozenset(a for a in sorted(nonunits(R)) if is_atom(R, a))
+        rep = associate_class_rep(R)
+        nus = sorted(nonunits(R))
+        broken = set()
+        for i, b in enumerate(nus):
+            row, rb = R.mul_table[b], rep[b]
+            for c in nus[i:]:
+                ra = rep[row[c]]
+                if ra != rb and ra != rep[c]:
+                    broken.add(row[c])
+        R._cache["atoms"] = frozenset(nus) - broken
     return R._cache["atoms"]
 
 
@@ -78,13 +89,11 @@ def atoms(R: FiniteRing) -> frozenset:
 
 def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
     witness = None
-    nus = nonunits(R)
-    for b in sorted(nus):
-        for a in range(1, R.size):
-            if R.mul(a, b) == a:
-                witness = {"a": a, "b": b}
-                break
-        if witness:
+    for b in sorted(nonunits(R)):
+        row = R.mul_table[b]
+        a = next((a for a in range(1, R.size) if row[a] == a), None)
+        if a is not None:
+            witness = {"a": a, "b": b}
             break
     # graph form: a self-loop a -> a labeled b is the same relation
     G = divisor_graph(R)
@@ -96,11 +105,7 @@ def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
 
 def is_accp(R: FiniteRing) -> tuple[bool, int]:
     """Always true at finite scale; returns the principal-ideal chain height."""
-    pids = sorted({principal_ideal(R, a).members for a in R.elements()}, key=len)
-    height = {}
-    for i, s in enumerate(pids):
-        height[i] = max((height[j] + 1 for j in range(i) if pids[j] < s), default=0)
-    return True, max(height.values(), default=0)
+    return True, chain_height(principal_ideal(R, a).members for a in R.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +115,7 @@ def is_accp(R: FiniteRing) -> tuple[bool, int]:
 def divisor_graph(R: FiniteRing) -> nx.DiGraph:
     """Nodes: nonzero elements. Edge a -> t labeled s iff a = s*t, s nonunit."""
     if "divisor_graph" not in R._cache:
-        nus = sorted(nonunits(R))
-        G = nx.DiGraph()
-        G.add_nodes_from(range(1, R.size))
-        for t in range(1, R.size):
-            for s in nus:
-                a = R.mul(s, t)
-                if a != R.zero and not G.has_edge(a, t):
-                    G.add_edge(a, t, label=s)
-        R._cache["divisor_graph"] = G
+        R._cache["divisor_graph"] = divisor_graph_over(R.mul_table, R.size, nonunits(R))
     return R._cache["divisor_graph"]
 
 
@@ -128,14 +125,6 @@ def _nonunit_subgraph(R: FiniteRing) -> nx.DiGraph:
         nus = nonunits(R)
         R._cache["nonunit_graph"] = G.subgraph([v for v in G.nodes if v in nus]).copy()
     return R._cache["nonunit_graph"]
-
-
-def _cycle_witness(G: nx.DiGraph) -> dict:
-    edges = nx.find_cycle(G)
-    return {
-        "cycle": [u for u, _ in edges],
-        "labels": [G.edges[u, v]["label"] for u, v in edges],
-    }
 
 
 def max_factorization_length(R: FiniteRing, a: int) -> tuple[int | None, dict]:
@@ -150,7 +139,7 @@ def max_factorization_length(R: FiniteRing, a: int) -> tuple[int | None, dict]:
     reach = nx.descendants(G, a) | {a}
     sub = G.subgraph(reach)
     if not nx.is_directed_acyclic_graph(sub):
-        return None, _cycle_witness(sub)
+        return None, cycle_witness(sub)
     best: dict[int, int] = {}
     succ: dict[int, int | None] = {}
     for v in reversed(list(nx.topological_sort(sub))):
@@ -172,7 +161,7 @@ def is_bfr(R: FiniteRing) -> tuple[bool, dict]:
     G = _nonunit_subgraph(R)
     if nx.is_directed_acyclic_graph(G):
         return True, {}
-    w = _cycle_witness(G)
+    w = cycle_witness(G)
     w["element"] = w["cycle"][0]
     return False, w
 
@@ -194,7 +183,7 @@ def bf_lengths_oracle(R: FiniteRing, *, cap: int | None = None) -> dict[int, int
             reach[a] = 1
     while layer and k < depth_cap:
         k += 1
-        layer = {R.mul(s, t) for s in nus for t in layer} - {R.zero}
+        layer = {a for s in nus for a in map(R.mul_table[s].__getitem__, layer)} - {R.zero}
         for a in layer:
             if a in reach:
                 reach[a] = k
@@ -232,8 +221,9 @@ def minimal_factorizations_of_zero(
         budget[0] -= 1
         for i in range(start, len(reps)):
             a = reps[i]
-            pa = R.mul(full_prod, a)
-            strict_times_a = {R.mul(p, a) for p in strict_prods}
+            times_a = R.mul_table[a]
+            pa = times_a[full_prod]
+            strict_times_a = set(map(times_a.__getitem__, strict_prods))
             if pa == R.zero:
                 if R.zero not in strict_times_a:
                     found.append(tuple(prefix + [a]))
@@ -265,29 +255,33 @@ def u_boundedness_of_zero(R: FiniteRing) -> tuple[bool, int, tuple[int, ...] | N
 # atomicity and UFR
 
 
+def atom_divisors(R: FiniteRing) -> dict[int, list[tuple[int, int]]]:
+    """x -> [(p, t) : p*t = x] over nonzero atoms p and nonzero nonunits t, for x != 0."""
+    if "atom_divisors" not in R._cache:
+        ts = sorted(nonunits(R) - {R.zero})
+        index: dict[int, list[tuple[int, int]]] = {}
+        for p in sorted(atoms(R) - {R.zero}):
+            for t, x in zip(ts, map(R.mul_table[p].__getitem__, ts)):
+                if x != R.zero:
+                    index.setdefault(x, []).append((p, t))
+        R._cache["atom_divisors"] = index
+    return R._cache["atom_divisors"]
+
+
 def is_atomic(R: FiniteRing) -> tuple[bool, dict]:
     """Every nonzero nonunit is a product of atoms (least fixpoint)."""
     ats = atoms(R)
     nus = nonunits(R)
+    divs = atom_divisors(R)
     targets = [a for a in range(1, R.size) if a in nus]
     good = set(a for a in targets if a in ats)
     changed = True
     while changed:
         changed = False
         for a in targets:
-            if a in good:
-                continue
-            for p in ats:
-                if p == R.zero:
-                    continue
-                hit = False
-                for t in good:
-                    if R.mul(p, t) == a:
-                        good.add(a)
-                        changed = hit = True
-                        break
-                if hit:
-                    break
+            if a not in good and any(t in good for _, t in divs.get(a, ())):
+                good.add(a)
+                changed = True
     bad = [a for a in targets if a not in good]
     if bad:
         return False, {"element": bad[0]}
@@ -305,24 +299,27 @@ def atom_factorizations(R: FiniteRing, a: int) -> set[tuple[int, ...]]:
     length, _ = max_factorization_length(R, a)
     if length is None:
         raise UnboundedElement(f"element {a} has unbounded factorization length")
-    ats = sorted(p for p in atoms(R) if p != R.zero)
+    return set(_atom_multisets(R, a))
+
+
+def _atom_multisets(R: FiniteRing, a: int) -> set[tuple[int, ...]]:
+    """atom_factorizations without the boundedness check, memoized on the ring.
+
+    Every divisor chain below a must be finite, so each stored set is complete.
+    """
+    memo = R._cache.setdefault("atom_multisets", {})
+    ats = atoms(R)
     rep = associate_class_rep(R)
-    nus = nonunits(R)
-    memo: dict[int, set] = {}
+    divs = atom_divisors(R)
 
     def fac(x: int) -> set:
-        if x in memo:
-            return memo[x]
-        res: set[tuple[int, ...]] = set()
-        memo[x] = res
-        if x in atoms(R):
-            res.add((rep[x],))
-        for p in ats:
-            for t in range(1, R.size):
-                if t in nus and R.mul(p, t) == x:
-                    for rest in fac(t):
-                        res.add(tuple(sorted((rep[p],) + rest)))
-        return res
+        if x not in memo:
+            res: set[tuple[int, ...]] = {(rep[x],)} if x in ats else set()
+            for p, t in divs.get(x, ()):
+                for rest in fac(t):
+                    res.add(tuple(sorted((rep[p],) + rest)))
+            memo[x] = res
+        return memo[x]
 
     return fac(a)
 
@@ -335,11 +332,12 @@ def is_ufr_direct(R: FiniteRing) -> tuple[bool, dict]:
     atomic, wit = is_atomic(R)
     if not atomic:
         return False, {"reason": "not_atomic", **wit}
+    # a BFR bounds every element, as atom_factorizations requires
     nus = nonunits(R)
     for a in range(1, R.size):
         if a not in nus:
             continue
-        facs = atom_factorizations(R, a)
+        facs = _atom_multisets(R, a)
         if len(facs) != 1:
             two = sorted(facs)[:2]
             return False, {"reason": "non_unique", "element": a, "multisets": two}
@@ -390,17 +388,11 @@ def check_theorem_ufr(R: FiniteRing, M: FiniteModule) -> UfrTheoremReport:
         m = maximal_ideal(R)
         m2_zero = ideal_product(R, m, m).members == frozenset({R.zero})
         if m2_zero:
-            c2 = all(M.act(r, x) == M.zero for r in m.members for x in M.elements())
+            c2 = all(M.act_table[r].count(M.zero) == M.size for r in m.members)
             c3 = is_semisimple(M)
 
     pres, _ = is_presimplifiable(T)
-    c4 = pres
-    if c4:
-        nus = nonunits(T)
-        for a in range(1, T.size):
-            if a in nus and not is_atom(T, a):
-                c4 = False
-                break
+    c4 = pres and nonunits(T) - {T.zero} <= atoms(T)
 
     agree = c1 == c2 == c3 == c4
     return UfrTheoremReport(c1, c2, c3, c4, agree, w1 if not c1 else {})

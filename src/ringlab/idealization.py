@@ -8,56 +8,56 @@ is an implementation bug and carries the offending witness.
 
 from __future__ import annotations
 
-from .errors import CapacityExceeded, ScalarMismatch
+from array import array
+
+from .errors import ScalarMismatch
 from .modules import FiniteModule, all_submodules, submodule_generated
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
     Ideal,
     all_ideals,
+    check_size,
     ideal_product,
+    is_ideal,
     is_prime_ideal,
     is_unit,
+    pair_table,
+    pair_vector,
     units,
 )
 
 
 def idealize(R: FiniteRing, M: FiniteModule, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+    """R(+)M, built once per module: (r, x)(s, y) = (rs, ry + sx)."""
     if M.ring is not R:
         raise ScalarMismatch(f"module {M.label} is not over {R.label}")
-    size = R.size * M.size
-    if size > cap:
-        raise CapacityExceeded(f"idealization size {size} exceeds cap {cap}")
+    check_size(R.size * M.size, "idealization", cap)
+    if "idealization" in M._cache:
+        return M._cache["idealization"]
     nm = M.size
-
-    def add(a, b):
-        ar, ax = divmod(a, nm)
-        br, bx = divmod(b, nm)
-        return R.add(ar, br) * nm + M.add(ax, bx)
-
-    def mul(a, b):
-        ar, ax = divmod(a, nm)
-        br, bx = divmod(b, nm)
-        return R.mul(ar, br) * nm + M.add(M.act(ar, bx), M.act(br, ax))
-
-    def neg(a):
-        ar, ax = divmod(a, nm)
-        return R.neg(ar) * nm + M.neg(ax)
+    act, madd = M.act_table, M.add_table
+    mul = []
+    for r, rrow in enumerate(R.mul_table):
+        # cross[c][y] = c + r*y; the row of (r, x) reads it at c = s*x
+        cross = [array("H", map(crow.__getitem__, act[r])) for crow in madd]
+        for x in M.elements():
+            mul.append(array("H", [rrow[s] * nm + w
+                                   for s, srow in enumerate(act) for w in cross[srow[x]]]))
 
     def render(a):
         ar, ax = divmod(a, nm)
         return f"({R.render(ar)},{M.render(ax)})"
 
-    return FiniteRing(
-        size, add, mul, neg,
+    T = M._cache["idealization"] = FiniteRing(
+        pair_table(R.add_table, madd),
+        mul,
+        pair_vector(R.neg_table, M.neg_table),
         one=R.one * nm,
         label=f"{R.label}(+){M.label}",
         render=render,
     )
-
-
-def pair_of(T: FiniteRing, M: FiniteModule, a: int) -> tuple[int, int]:
-    return divmod(a, M.size)
+    return T
 
 
 def verify_unit_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
@@ -76,7 +76,7 @@ def _shape_members(R: FiniteRing, M: FiniteModule, I: frozenset, N: frozenset) -
 
 
 def _acts_into(R: FiniteRing, M: FiniteModule, I: frozenset, N: frozenset) -> bool:
-    return all(M.act(r, x) in N for r in I for x in M.elements())
+    return all(N.issuperset(M.act_table[r]) for r in I)
 
 
 def _homogeneous_ideals(
@@ -98,8 +98,6 @@ def _homogeneous_ideals(
 
 def verify_ideal_shape(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     """A product set I x N is an ideal of R(+)M exactly when IM <= N."""
-    from .rings import is_ideal
-
     T = idealize(R, M)
     homogeneous = set()
     for I in all_ideals(R):

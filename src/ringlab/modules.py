@@ -8,35 +8,62 @@ a chain through 0 would force the source to be 0).
 
 from __future__ import annotations
 
+from array import array
+from functools import reduce
 from typing import Callable, Iterable
 
 import networkx as nx
 
-from .errors import CapacityExceeded
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, Ideal, jacobson_radical, nonunits
+from .errors import CapacityExceeded, InvalidConstruction
+from .rings import (
+    DEFAULT_SIZE_CAP,
+    IDEAL_COUNT_CAP,
+    FiniteRing,
+    Ideal,
+    chain_height,
+    check_size,
+    close_under_addition,
+    coset_classes,
+    digitwise,
+    jacobson_radical,
+    lattice_by_sums,
+    nonunits,
+    pair_table,
+    quotient_table,
+)
 
 
 class FiniteModule:
+    """Tables like the ring carrier's: add_table[x][y] = x + y, act_table[r][x] = r*x."""
+
     def __init__(
         self,
         ring: FiniteRing,
-        size: int,
-        add: Callable[[int, int], int],
-        neg: Callable[[int], int],
-        act: Callable[[int, int], int],
+        add_table: list[array],
+        neg_table: array,
+        act_table: list[array],
         *,
         label: str = "",
         render: Callable[[int], str] | None = None,
     ):
         self.ring = ring
-        self.size = size
-        self.add = add
-        self.neg = neg
-        self.act = act
+        self.size = len(neg_table)
+        self.add_table = add_table
+        self.neg_table = neg_table
+        self.act_table = act_table
         self.zero = 0
-        self.label = label or f"mod{size}"
+        self.label = label or f"mod{self.size}"
         self._render = render or str
         self._cache: dict = {}
+
+    def add(self, x: int, y: int) -> int:
+        return self.add_table[x][y]
+
+    def neg(self, x: int) -> int:
+        return self.neg_table[x]
+
+    def act(self, r: int, x: int) -> int:
+        return self.act_table[r][x]
 
     def elements(self) -> range:
         return range(self.size)
@@ -49,88 +76,59 @@ class FiniteModule:
 
 
 def make_self_module(R: FiniteRing) -> FiniteModule:
-    return FiniteModule(R, R.size, R.add, R.neg, R.mul, label=f"{R.label}-self", render=R.render)
+    return FiniteModule(R, R.add_table, R.neg_table, R.mul_table,
+                        label=f"{R.label}-self", render=R.render)
 
 
 def make_free(R: FiniteRing, k: int, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteModule:
+    if k < 1:
+        raise InvalidConstruction(f"free module needs rank k >= 1, got {k}")
     if k == 1:
         return make_self_module(R)
-    size = R.size ** k
-    if size > cap:
-        raise CapacityExceeded(f"free module size {size} exceeds cap {cap}")
+    check_size(R.size ** k, "free module", cap)
     n = R.size
 
-    def decode(x):
-        v = []
+    def render(x):
+        coords = []
         for _ in range(k):
             x, c = divmod(x, n)
-            v.append(c)
-        return v
+            coords.append(R.render(c))
+        return "(" + ",".join(coords) + ")"
 
-    def encode(v):
-        x = 0
-        for c in reversed(v):
-            x = x * n + c
-        return x
-
-    def add(x, y):
-        return encode([R.add(a, b) for a, b in zip(decode(x), decode(y))])
-
-    def neg(x):
-        return encode([R.neg(a) for a in decode(x)])
-
-    def act(r, x):
-        return encode([R.mul(r, a) for a in decode(x)])
-
-    def render(x):
-        return "(" + ",".join(R.render(a) for a in decode(x)) + ")"
-
-    return FiniteModule(R, size, add, neg, act, label=f"{R.label}^{k}", render=render)
+    return FiniteModule(
+        R,
+        reduce(pair_table, [R.add_table] * k),
+        digitwise(R.neg_table, k),
+        [digitwise(row, k) for row in R.mul_table],
+        label=f"{R.label}^{k}",
+        render=render,
+    )
 
 
 def submodule_generated(M: FiniteModule, gens: Iterable[int]) -> frozenset:
-    R = M.ring
-    members = {M.zero}
+    members = set()
     for g in gens:
-        members |= {M.act(r, g) for r in R.elements()}
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        for y in list(members):
-            s = M.add(x, y)
-            if s not in members:
-                members.add(s)
-                frontier.append(s)
-    return frozenset(members)
+        members |= cyclic_submodule(M, g)
+    return close_under_addition(M.add_table, members)
 
 
 def cyclic_submodule(M: FiniteModule, x: int) -> frozenset:
     # Rx is already closed under addition and the action
-    return frozenset(M.act(r, x) for r in M.ring.elements())
+    return frozenset(row[x] for row in M.act_table)
 
 
 def annihilator_of(M: FiniteModule, x: int) -> Ideal:
-    R = M.ring
-    return Ideal(R, frozenset(r for r in R.elements() if M.act(r, x) == M.zero))
+    return Ideal(M.ring, frozenset(r for r, row in enumerate(M.act_table) if row[x] == M.zero))
 
 
 def quotient_module(M: FiniteModule, gens: Iterable[int]) -> FiniteModule:
-    N = sorted(submodule_generated(M, gens))
-    rep = [min(M.add(x, y) for y in N) for x in M.elements()]
-    reps = sorted(set(rep))
-    index = {r: k for k, r in enumerate(reps)}
-
-    def add(x, y):
-        return index[rep[M.add(reps[x], reps[y])]]
-
-    def neg(x):
-        return index[rep[M.neg(reps[x])]]
-
-    def act(r, x):
-        return index[rep[M.act(r, reps[x])]]
-
+    N = submodule_generated(M, gens)
+    cls, reps = coset_classes(M.add_table, N)
     return FiniteModule(
-        M.ring, len(reps), add, neg, act,
+        M.ring,
+        quotient_table(M.add_table, cls, reps),
+        array("H", [cls[M.neg_table[x]] for x in reps]),
+        [array("H", [cls[row[x]] for x in reps]) for row in M.act_table],
         label=f"{M.label}/N{len(N)}",
         render=lambda x: f"[{M.render(reps[x])}]",
     )
@@ -138,15 +136,8 @@ def quotient_module(M: FiniteModule, gens: Iterable[int]) -> FiniteModule:
 
 def all_submodules(M: FiniteModule) -> list[frozenset]:
     if "all_submodules" not in M._cache:
-        seen = {cyclic_submodule(M, x) for x in M.elements()}
-        worklist = list(seen)
-        while worklist:
-            cur = worklist.pop()
-            for other in list(seen):
-                s = frozenset(M.add(x, y) for x in cur for y in other)
-                if s not in seen:
-                    seen.add(s)
-                    worklist.append(s)
+        cyclic = {cyclic_submodule(M, x) for x in M.elements()}
+        seen = lattice_by_sums(M.add_table, cyclic, cap=IDEAL_COUNT_CAP, label=M.label)
         M._cache["all_submodules"] = sorted(seen, key=lambda m: (len(m), sorted(m)))
     return M._cache["all_submodules"]
 
@@ -158,7 +149,7 @@ def all_submodules(M: FiniteModule) -> list[frozenset]:
 def is_semisimple(M: FiniteModule) -> bool:
     """J(R)M = 0 criterion (R/J(R) is a finite product of fields)."""
     J = jacobson_radical(M.ring)
-    return all(M.act(r, x) == M.zero for r in J.members for x in M.elements())
+    return all(M.act_table[r].count(M.zero) == M.size for r in J.members)
 
 
 def is_semisimple_oracle(M: FiniteModule, *, cap: int = 4096) -> bool:
@@ -172,23 +163,8 @@ def is_semisimple_oracle(M: FiniteModule, *, cap: int = 4096) -> bool:
             continue
         if all(cyclic_submodule(M, y) == N for y in N if y != M.zero):
             simples.append(N)
-    total = {M.zero}
-    for N in simples:
-        total = set(_close_add(M, total | set(N)))
+    total = close_under_addition(M.add_table, set().union(*simples))
     return len(total) == M.size
-
-
-def _close_add(M: FiniteModule, seed: set) -> frozenset:
-    members = set(seed)
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        for y in list(members):
-            s = M.add(x, y)
-            if s not in members:
-                members.add(s)
-                frontier.append(s)
-    return frozenset(members)
 
 
 # ---------------------------------------------------------------------------
@@ -197,28 +173,34 @@ def _close_add(M: FiniteModule, seed: set) -> frozenset:
 
 def is_accc(M: FiniteModule) -> tuple[bool, int]:
     """Always true at finite scale; returns the cyclic-submodule chain height."""
-    subs = sorted({cyclic_submodule(M, x) for x in M.elements()}, key=len)
-    height = {}
-    for i, s in enumerate(subs):
-        height[i] = max(
-            (height[j] + 1 for j in range(i) if subs[j] < s),
-            default=0,
-        )
-    return True, max(height.values(), default=0)
+    return True, chain_height(cyclic_submodule(M, x) for x in M.elements())
+
+
+def divisor_graph_over(act_table: list[array], size: int, scalars: Iterable[int]) -> nx.DiGraph:
+    """Nodes 1..size-1; edge x -> y labeled r, the least scalar with x = r*y != 0."""
+    rows = [(r, act_table[r]) for r in sorted(scalars)]
+    G = nx.DiGraph()
+    G.add_nodes_from(range(1, size))
+    for y in range(1, size):
+        first: dict[int, int] = {}
+        for r, row in rows:
+            first.setdefault(row[y], r)
+        first.pop(0, None)
+        G.add_edges_from((x, y, {"label": r}) for x, r in first.items())
+    return G
+
+
+def cycle_witness(G: nx.DiGraph) -> dict:
+    edges = nx.find_cycle(G)
+    return {
+        "cycle": [u for u, _ in edges],
+        "labels": [G.edges[u, v]["label"] for u, v in edges],
+    }
 
 
 def module_divisor_graph(M: FiniteModule) -> nx.DiGraph:
     if "divisor_graph" not in M._cache:
-        R = M.ring
-        nus = sorted(nonunits(R))
-        G = nx.DiGraph()
-        G.add_nodes_from(range(1, M.size))
-        for y in range(1, M.size):
-            for r in nus:
-                x = M.act(r, y)
-                if x != M.zero and not G.has_edge(x, y):
-                    G.add_edge(x, y, label=r)
-        M._cache["divisor_graph"] = G
+        M._cache["divisor_graph"] = divisor_graph_over(M.act_table, M.size, nonunits(M.ring))
     return M._cache["divisor_graph"]
 
 
@@ -230,10 +212,7 @@ def is_bfm(M: FiniteModule) -> tuple[bool, dict]:
     """
     G = module_divisor_graph(M)
     if not nx.is_directed_acyclic_graph(G):
-        edges = nx.find_cycle(G)
-        cycle = [u for u, _ in edges]
-        labels = [G.edges[u, v]["label"] for u, v in edges]
-        return False, {"cycle": cycle, "labels": labels}
+        return False, cycle_witness(G)
     order = list(nx.topological_sort(G))
     bound = {v: 0 for v in G.nodes}
     for v in reversed(order):
@@ -249,13 +228,12 @@ def bfm_bounds_oracle(M: FiniteModule, *, cap: int = 1024) -> dict:
     """
     if M.ring.size * M.size > cap:
         raise CapacityExceeded("bfm oracle capped")
-    R = M.ring
-    nus = sorted(nonunits(R))
+    rows = [M.act_table[r] for r in sorted(nonunits(M.ring))]
     depth_cap = M.size + 1
     reach = {x: 0 for x in range(1, M.size)}
     layer = set(range(1, M.size))
     for k in range(1, depth_cap + 1):
-        layer = {M.act(r, y) for r in nus for y in layer} - {M.zero}
+        layer = {x for row in rows for x in map(row.__getitem__, layer)} - {M.zero}
         for x in layer:
             reach[x] = k
         if not layer:

@@ -209,7 +209,7 @@ class _Parser:
         self.expect("[")
         vals = []
         if self.peek() != "]":
-            vals.append(int(self.next()))
+            vals.append(self.parse_int())
             while self.peek() == ",":
                 self.next()
                 vals.append(self.parse_int())
@@ -355,6 +355,7 @@ def build_ring(node: RingAst, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing | Bl
             return make_polyquot(base, ring_coeffs, cap=cap)
         case Quot(base_ast, gens):
             base = build_ring(base_ast, cap=cap)
+            _check_elements(gens, base.size, base.label)
             return quotient_ring(base, generated_ideal(base, gens))
         case Idealize(ring_ast, module_ast):
             R = build_ring(ring_ast, cap=cap)
@@ -372,5 +373,15 @@ def build_module(node: ModuleAst, R: FiniteRing, *, cap: int = DEFAULT_SIZE_CAP)
         case MFree(k):
             return make_free(R, k, cap=cap)
         case MQuot(base_ast, gens):
-            return quotient_module(build_module(base_ast, R, cap=cap), gens)
+            base = build_module(base_ast, R, cap=cap)
+            _check_elements(gens, base.size, base.label)
+            Q = quotient_module(base, gens)
+            if Q.size < 2:
+                raise InvalidConstruction(f"{to_text(node)} is the zero module")
+            return Q
     raise TypeError(f"not a module AST: {node!r}")
+
+
+def _check_elements(gens: tuple, size: int, label: str) -> None:
+    if any(g >= size for g in gens):
+        raise InvalidConstruction(f"generators {list(gens)} are not all element indices of {label}")

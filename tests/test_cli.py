@@ -38,6 +38,19 @@ def test_analyze_bad_spec_exit_1(capsys):
     assert main(["analyze", "Zfoo"]) == 1
 
 
+@pytest.mark.parametrize("spec,kind", [
+    ("quot(Z4,[9])", "InvalidConstruction"),                      # generator outside Z4
+    ("idealize(Z4,mquot(free(1),[99]))", "InvalidConstruction"),  # generator outside the module
+    ("quot(Z4,[1])", "InvalidConstruction"),                      # the zero ring
+    ("idealize(Z4,mquot(free(1),[1]))", "InvalidConstruction"),   # the zero module
+    ("idealize(Z4,free(0))", "InvalidConstruction"),              # rank-0 free module
+    ("quot(Z4,[x])", "ParseError"),                               # a generator that is no integer
+])
+def test_analyze_invalid_construction_exit_1(capsys, spec, kind):
+    assert main(["analyze", spec]) == 1
+    assert json.loads(capsys.readouterr().err)["kind"] == kind
+
+
 def test_analyze_cap_exit_3(capsys):
     assert main(["analyze", "Z99999"]) == 3
 

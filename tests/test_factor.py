@@ -22,6 +22,7 @@ from ringlab.factor import (
     u_boundedness_of_zero,
 )
 from ringlab.rings import is_unit, make_polyquot, make_product, make_zn, nonunits
+from test_acceptance import RING_SPECS, ring
 
 
 def prod(R, xs):
@@ -41,6 +42,12 @@ def test_associates_z8():
 def test_atoms_z6_z8():
     assert atoms(make_zn(6)) == frozenset({2, 3, 4})
     assert atoms(make_zn(8)) == frozenset({2, 6})
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_atoms_sweep_matches_definition(spec):
+    R = ring(spec)
+    assert atoms(R) == frozenset(a for a in nonunits(R) if is_atom(R, a))
 
 
 def test_atoms_z4_includes_zero_question():

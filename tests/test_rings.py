@@ -3,6 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlab.errors import CapacityExceeded, InvalidConstruction
+from ringlab.idealization import idealize
+from ringlab.modules import (
+    check_module_axioms,
+    cyclic_submodule,
+    make_free,
+    make_self_module,
+    quotient_module,
+)
 from ringlab.rings import (
     all_ideals,
     annihilator,
@@ -83,6 +91,15 @@ def test_polyquot_dual_numbers():
     assert is_local(R)
     # t * t = 0: t has index 2 (coeff vector [0,1])
     assert R.mul(2, 2) == 0
+
+
+def test_polyquot_unity_is_the_base_unity():
+    # the unity of Z2(+)Z2 is the pair (1,0), index 2, not index 1
+    Z2 = make_zn(2)
+    T = idealize(Z2, make_self_module(Z2))
+    R = make_polyquot(T, [0, 0, T.one])
+    assert R.one == T.one == 2
+    check_ring_axioms(R)
 
 
 def test_polyquot_requires_monic():
@@ -180,3 +197,152 @@ def test_zn_unit_group_size_is_totient(n):
     from math import gcd
 
     assert len(units(R)) == sum(1 for k in range(1, n) if gcd(k, n) == 1)
+
+
+# ---------------------------------------------------------------------------
+# every construction's tables against its definitional arithmetic
+
+
+def _digits(x, n, d):
+    out = []
+    for _ in range(d):
+        x, c = divmod(x, n)
+        out.append(c)
+    return out
+
+
+def _undigits(v, n):
+    return sum(c * n ** i for i, c in enumerate(v))
+
+
+def _zn_ops(n):
+    return (lambda a, b: (a + b) % n, lambda a, b: a * b % n, lambda a: -a % n)
+
+
+def _product_ops(R, S):
+    k = S.size
+    return (
+        lambda a, b: R.add(a // k, b // k) * k + S.add(a % k, b % k),
+        lambda a, b: R.mul(a // k, b // k) * k + S.mul(a % k, b % k),
+        lambda a: R.neg(a // k) * k + S.neg(a % k),
+    )
+
+
+def _polyquot_ops(n, f):
+    """Z_n[t]/(f): integer polynomial product, then long division by monic f."""
+    d = len(f) - 1
+
+    def mul(a, b):
+        va, vb = _digits(a, n, d), _digits(b, n, d)
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(va):
+            for j, y in enumerate(vb):
+                conv[i + j] += x * y
+        for k in range(2 * d - 2, d - 1, -1):
+            c, conv[k] = conv[k], 0
+            for j in range(d):
+                conv[k - d + j] -= c * f[j]
+        return _undigits([c % n for c in conv[:d]], n)
+
+    return (
+        lambda a, b: _undigits([(x + y) % n for x, y in zip(_digits(a, n, d), _digits(b, n, d))], n),
+        mul,
+        lambda a: _undigits([-x % n for x in _digits(a, n, d)], n),
+    )
+
+
+def _coset_ops(R, ideal):
+    rep = [min(R.add(a, i) for i in ideal) for a in R.elements()]
+    reps = sorted(set(rep))
+    cls = [reps.index(r) for r in rep]
+    return (
+        lambda a, b: cls[R.add(reps[a], reps[b])],
+        lambda a, b: cls[R.mul(reps[a], reps[b])],
+        lambda a: cls[R.neg(reps[a])],
+    )
+
+
+def _idealization_ops(R, M):
+    k = M.size
+    return (
+        lambda a, b: R.add(a // k, b // k) * k + M.add(a % k, b % k),
+        lambda a, b: R.mul(a // k, b // k) * k + M.add(M.act(a // k, b % k), M.act(b // k, a % k)),
+        lambda a: R.neg(a // k) * k + M.neg(a % k),
+    )
+
+
+def _carriers():
+    Z2, Z3, Z4, Z12 = make_zn(2), make_zn(3), make_zn(4), make_zn(12)
+    dual = make_polyquot(Z2, [0, 0, 1])
+    Z6 = make_zn(6)
+    out = [pytest.param(make_zn(n), _zn_ops(n), id=f"Z{n}") for n in (2, 6, 9)]
+    out += [
+        pytest.param(make_product(Z2, Z3), _product_ops(Z2, Z3), id="Z2 x Z3"),
+        pytest.param(make_product(Z4, dual), _product_ops(Z4, dual), id="Z4 x Z2[t]/(t^2)"),
+        pytest.param(make_polyquot(Z3, [1, 0, 1]), _polyquot_ops(3, [1, 0, 1]), id="Z3[t]/(t^2+1)"),
+        pytest.param(make_polyquot(Z2, [1, 1, 0, 1]), _polyquot_ops(2, [1, 1, 0, 1]),
+                     id="Z2[t]/(t^3+t+1)"),
+        pytest.param(make_polyquot(Z4, [1, 3, 1]), _polyquot_ops(4, [1, 3, 1]), id="Z4[t]/(t^2+3t+1)"),
+    ]
+    out += [
+        pytest.param(quotient_ring(Z12, principal_ideal(Z12, g)),
+                     _coset_ops(Z12, principal_ideal(Z12, g).members), id=f"Z12/({g})")
+        for g in (4, 6)
+    ]
+    for R, M in [(Z4, make_self_module(Z4)), (Z6, make_self_module(Z6)),
+                 (Z2, make_free(Z2, 2)), (Z4, quotient_module(make_self_module(Z4), [2]))]:
+        out.append(pytest.param(idealize(R, M), _idealization_ops(R, M), id=f"{R.label}(+){M.label}"))
+    return out
+
+
+@pytest.mark.parametrize("R,ops", _carriers())
+def test_tables_match_definitional_arithmetic(R, ops):
+    add, mul, neg = ops
+    for a in R.elements():
+        assert R.neg_table[a] == neg(a), a
+        for b in R.elements():
+            assert R.add_table[a][b] == add(a, b), (a, b)
+            assert R.mul_table[a][b] == mul(a, b), (a, b)
+    check_ring_axioms(R)
+
+
+def _modules():
+    Z3, Z4 = make_zn(3), make_zn(4)
+    S = make_self_module(make_zn(12))
+    N = cyclic_submodule(S, 4)
+    rep = [min(S.add(x, y) for y in N) for x in S.elements()]
+    reps = sorted(set(rep))
+    def free_ops(n, k):
+        return (
+            lambda x, y: _undigits([(p + q) % n for p, q in zip(_digits(x, n, k), _digits(y, n, k))], n),
+            lambda r, x: _undigits([r * c % n for c in _digits(x, n, k)], n),
+        )
+
+    return [
+        pytest.param(make_free(Z3, 2), *free_ops(3, 2), id="Z3^2"),
+        pytest.param(make_free(Z4, 3), *free_ops(4, 3), id="Z4^3"),
+        pytest.param(quotient_module(S, [4]),
+                     lambda x, y: reps.index(rep[S.add(reps[x], reps[y])]),
+                     lambda r, x: reps.index(rep[S.act(r, reps[x])]), id="Z12/(4)"),
+    ]
+
+
+@pytest.mark.parametrize("M,add,act", _modules())
+def test_module_tables_match_definitional_arithmetic(M, add, act):
+    for x in M.elements():
+        for y in M.elements():
+            assert M.add_table[x][y] == add(x, y), (x, y)
+        for r in M.ring.elements():
+            assert M.act_table[r][x] == act(r, x), (r, x)
+    check_module_axioms(M)
+
+
+def test_zero_ring_rejected():
+    R = make_zn(4)
+    with pytest.raises(InvalidConstruction):
+        quotient_ring(R, principal_ideal(R, 1))
+
+
+def test_free_module_needs_positive_rank():
+    with pytest.raises(InvalidConstruction):
+        make_free(make_zn(4), 0)

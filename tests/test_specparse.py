@@ -50,7 +50,7 @@ def test_whitespace_insensitive():
 
 
 def test_parse_errors():
-    for bad in ["", "Zx", "Z6 x", "quot(Z6", "idealize(Z6)", "block()", "Z6)"]:
+    for bad in ["", "Zx", "Z6 x", "quot(Z6", "idealize(Z6)", "block()", "Z6)", "quot(Z4,[x])"]:
         with pytest.raises(ParseError):
             parse_spec(bad)
 
