@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .errors import CapacityExceeded, InvalidQuery, UnboundedElement
 from .idealization import idealize
-from .modules import FiniteModule, cycle_witness, divisor_graph_over, is_bfm, is_semisimple
+from .modules import DivisorGraph, FiniteModule, divisor_graph_over, is_bfm, is_semisimple, search
 from .rings import (
     FiniteRing,
     chain_height,
@@ -31,6 +29,7 @@ from .rings import (
     min_primes,
     nonunits,
     principal_ideal,
+    units,
 )
 
 # ---------------------------------------------------------------------------
@@ -96,8 +95,7 @@ def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
             witness = {"a": a, "b": b}
             break
     # graph form: a self-loop a -> a labeled b is the same relation
-    G = divisor_graph(R)
-    has_loop = any(G.has_edge(v, v) for v in G.nodes)
+    has_loop = any(v in s for v, s in enumerate(divisor_graph(R).succ))
     if (witness is None) != (not has_loop):
         raise AssertionError(f"presimplifiable cross-check failed on {R.label}")
     return (witness is None), (witness or {})
@@ -112,19 +110,29 @@ def is_accp(R: FiniteRing) -> tuple[bool, int]:
 # divisor graph and BF analysis
 
 
-def divisor_graph(R: FiniteRing) -> nx.DiGraph:
-    """Nodes: nonzero elements. Edge a -> t labeled s iff a = s*t, s nonunit."""
+def divisor_graph(R: FiniteRing) -> DivisorGraph:
+    """Nodes: nonzero elements. Edge a -> t labeled s iff a = s*t, s nonunit.
+
+    A unit t has no out-edges (t = s*u would put t in the proper ideal sR),
+    so searches of the nonunit part pass the units as ``outside``.
+    """
     if "divisor_graph" not in R._cache:
-        R._cache["divisor_graph"] = divisor_graph_over(R.mul_table, R.size, nonunits(R))
+        desc = sorted(nonunits(R), reverse=True)
+        columns = (map(row.__getitem__, desc) for row in R.mul_table)  # mul_table is symmetric
+        R._cache["divisor_graph"] = divisor_graph_over(columns, R.size, desc)
     return R._cache["divisor_graph"]
 
 
-def _nonunit_subgraph(R: FiniteRing) -> nx.DiGraph:
-    if "nonunit_graph" not in R._cache:
-        G = divisor_graph(R)
-        nus = nonunits(R)
-        R._cache["nonunit_graph"] = G.subgraph([v for v in G.nodes if v in nus]).copy()
-    return R._cache["nonunit_graph"]
+def _nonunit_starts(R: FiniteRing) -> list[int]:
+    """The nonzero nonunits in the order the reported BFR witnesses were found in.
+
+    Those witnesses were searched in a filtered view of the graph that
+    walks the Python set of kept nodes, not the ascending carrier, when
+    fewer than half the nodes are kept. Start order picks the first cycle,
+    so it is kept as is to leave reports byte-identical.
+    """
+    nus = sorted(nonunits(R) - {R.zero})
+    return list(set(nus)) if 2 * len(nus) < R.size - 1 else nus
 
 
 def max_factorization_length(R: FiniteRing, a: int) -> tuple[int | None, dict]:
@@ -135,35 +143,27 @@ def max_factorization_length(R: FiniteRing, a: int) -> tuple[int | None, dict]:
     """
     if a == R.zero or is_unit(R, a):
         raise InvalidQuery("BF analysis applies to nonzero nonunits")
-    G = _nonunit_subgraph(R)
-    reach = nx.descendants(G, a) | {a}
-    sub = G.subgraph(reach)
-    if not nx.is_directed_acyclic_graph(sub):
-        return None, cycle_witness(sub)
-    best: dict[int, int] = {}
-    succ: dict[int, int | None] = {}
-    for v in reversed(list(nx.topological_sort(sub))):
-        best[v], succ[v] = 1, None
-        for _, t in sorted(sub.out_edges(v)):
-            if 1 + best[t] > best[v]:
-                best[v], succ[v] = 1 + best[t], t
-    factors, v = [], a
-    while succ[v] is not None:
-        t = succ[v]
-        factors.append(sub.edges[v, t]["label"])
+    G = divisor_graph(R)
+    witness, height = search(G, [a], units(R))
+    if witness:
+        return None, witness
+    # walk down the longest path, taking the least successor at each step
+    succ, factors, v = G.succ, [], a
+    while height[v] > 0:
+        t = next(t for t in succ[v] if height[t] == height[v] - 1)
+        factors.append(succ[v][t])
         v = t
     factors.append(v)
-    return best[a], {"factors": factors}
+    return 1 + height[a], {"factors": factors}
 
 
 def is_bfr(R: FiniteRing) -> tuple[bool, dict]:
     """BFR iff the nonzero-nonunit divisor graph is acyclic."""
-    G = _nonunit_subgraph(R)
-    if nx.is_directed_acyclic_graph(G):
+    witness, _ = search(divisor_graph(R), _nonunit_starts(R), units(R))
+    if witness is None:
         return True, {}
-    w = cycle_witness(G)
-    w["element"] = w["cycle"][0]
-    return False, w
+    witness["element"] = witness["cycle"][0]
+    return False, witness
 
 
 def bf_lengths_oracle(R: FiniteRing, *, cap: int | None = None) -> dict[int, int | None]:

@@ -12,8 +12,6 @@ from array import array
 from functools import reduce
 from typing import Callable, Iterable
 
-import networkx as nx
-
 from .errors import CapacityExceeded, InvalidConstruction
 from .rings import (
     DEFAULT_SIZE_CAP,
@@ -176,31 +174,83 @@ def is_accc(M: FiniteModule) -> tuple[bool, int]:
     return True, chain_height(cyclic_submodule(M, x) for x in M.elements())
 
 
-def divisor_graph_over(act_table: list[array], size: int, scalars: Iterable[int]) -> nx.DiGraph:
-    """Nodes 1..size-1; edge x -> y labeled r, the least scalar with x = r*y != 0."""
-    rows = [(r, act_table[r]) for r in sorted(scalars)]
-    G = nx.DiGraph()
-    G.add_nodes_from(range(1, size))
-    for y in range(1, size):
-        first: dict[int, int] = {}
-        for r, row in rows:
-            first.setdefault(row[y], r)
+class DivisorGraph:
+    """Divisor graph on 1..size-1 as successor maps.
+
+    succ[x][y] is the least nonunit scalar r with x = r*y != 0. The keys of
+    each succ[x] ascend, and succ[0] is empty: node 0 is not in the graph.
+    """
+
+    __slots__ = ("succ",)
+
+    def __init__(self, succ: list[dict[int, int]]):
+        self.succ = succ
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self.succ))
+
+
+def divisor_graph_over(columns: Iterable[Iterable[int]], size: int, desc: list[int]) -> DivisorGraph:
+    """Edge x -> y labeled r, the least scalar in desc with x = r*y != 0.
+
+    desc lists the nonunit scalars in descending order and column y lists
+    r*y for r in desc, so a later, smaller scalar overwrites a larger one.
+    """
+    succ: list[dict[int, int]] = [{} for _ in range(size)]
+    for y, column in enumerate(columns):
+        first = dict(zip(column, desc))
         first.pop(0, None)
-        G.add_edges_from((x, y, {"label": r}) for x, r in first.items())
-    return G
+        for x, r in first.items():
+            succ[x][y] = r
+    return DivisorGraph(succ)
 
 
-def cycle_witness(G: nx.DiGraph) -> dict:
-    edges = nx.find_cycle(G)
-    return {
-        "cycle": [u for u, _ in edges],
-        "labels": [G.edges[u, v]["label"] for u, v in edges],
-    }
+ON_PATH = -2  # search's height mark for nodes on the current path
 
 
-def module_divisor_graph(M: FiniteModule) -> nx.DiGraph:
+def search(G: DivisorGraph, starts: Iterable[int], outside: Iterable[int] = ()) -> tuple:
+    """One depth-first search of G from each unfinished start, in order.
+
+    Successors are taken in ascending order and finished nodes are skipped;
+    reported witnesses depend on that order. Nodes in ``outside`` count as
+    finished sinks of height -1, so the search neither enters nor counts them.
+
+    Returns (witness, height): the first cycle met as {"cycle": nodes,
+    "labels": scalars} with cycle[k] = labels[k] * cycle[k+1], or None and
+    then height[v], the most edges on a path from v, for each v reached.
+    """
+    succ = G.succ
+    height: list = [None] * len(succ)
+    for v in outside:
+        height[v] = -1
+    for s in starts:
+        if height[s] is not None:
+            continue
+        height[s] = ON_PATH
+        path, its = [s], [iter(succ[s])]
+        while path:
+            for y in its[-1]:
+                if height[y] is None:
+                    height[y] = ON_PATH
+                    path.append(y)
+                    its.append(iter(succ[y]))
+                    break
+                if height[y] == ON_PATH:
+                    cycle = path[path.index(y):]
+                    labels = [succ[u][v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+                    return {"cycle": cycle, "labels": labels}, height
+            else:
+                v = path.pop()
+                its.pop()
+                height[v] = 1 + max(map(height.__getitem__, succ[v]), default=-1)
+    return None, height
+
+
+def module_divisor_graph(M: FiniteModule) -> DivisorGraph:
     if "divisor_graph" not in M._cache:
-        M._cache["divisor_graph"] = divisor_graph_over(M.act_table, M.size, nonunits(M.ring))
+        desc = sorted(nonunits(M.ring), reverse=True)
+        columns = zip(*(M.act_table[r] for r in desc))
+        M._cache["divisor_graph"] = divisor_graph_over(columns, M.size, desc)
     return M._cache["divisor_graph"]
 
 
@@ -210,15 +260,10 @@ def is_bfm(M: FiniteModule) -> tuple[bool, dict]:
     Witness: a reachable cycle when unbounded, otherwise the per-element
     bound vector (longest path counts the nonunit scalars consumed).
     """
-    G = module_divisor_graph(M)
-    if not nx.is_directed_acyclic_graph(G):
-        return False, cycle_witness(G)
-    order = list(nx.topological_sort(G))
-    bound = {v: 0 for v in G.nodes}
-    for v in reversed(order):
-        for _, t in G.out_edges(v):
-            bound[v] = max(bound[v], 1 + bound[t])
-    return True, {"bounds": {x: bound[x] for x in sorted(bound)}}
+    witness, height = search(module_divisor_graph(M), range(1, M.size))
+    if witness:
+        return False, witness
+    return True, {"bounds": {x: height[x] for x in range(1, M.size)}}
 
 
 def bfm_bounds_oracle(M: FiniteModule, *, cap: int = 1024) -> dict:

@@ -438,14 +438,16 @@ def annihilator(R: FiniteRing, a: int) -> Ideal:
 
 
 def is_local(R: FiniteRing) -> bool:
-    via_lattice = len(maximal_ideals(R)) == 1
-    # cross-check: local iff the nonunits are closed under addition
-    nu = nonunits(R)
-    at = R.add_table
-    closed = all(nu.issuperset(map(at[a].__getitem__, nu)) for a in nu)
-    if via_lattice != closed:
-        raise AssertionError(f"is_local cross-check failed on {R.label}")
-    return via_lattice
+    if "is_local" not in R._cache:
+        via_lattice = len(maximal_ideals(R)) == 1
+        # cross-check, once per ring: local iff the nonunits are closed under addition
+        nu = nonunits(R)
+        at = R.add_table
+        closed = all(nu.issuperset(map(at[a].__getitem__, nu)) for a in nu)
+        if via_lattice != closed:
+            raise AssertionError(f"is_local cross-check failed on {R.label}")
+        R._cache["is_local"] = via_lattice
+    return R._cache["is_local"]
 
 
 def maximal_ideal(R: FiniteRing) -> Ideal:

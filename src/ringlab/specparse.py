@@ -8,7 +8,7 @@ Grammar:
             | "idealize(" ring "," module ")"
             | "block(" int ")"
     module := "self" | "free(" int ")" | "mquot(" module "," "[" ints "]" ")"
-    poly   := monic integer polynomial in t, e.g. t^2+t+1
+    poly   := integer polynomial in t, e.g. t^2+t+1, monic in the base ring
 
 parse -> to_text -> parse round-trips to an identical tree.
 """
@@ -59,7 +59,7 @@ class Prod:
 @dataclass(frozen=True)
 class PolyQuot:
     base: "RingAst"
-    coeffs: tuple  # constant term first, monic
+    coeffs: tuple  # constant term first, nonzero leading integer
 
 
 @dataclass(frozen=True)
@@ -240,11 +240,10 @@ class _Parser:
             if self.peek() != "+":
                 break
             self.next()
-        deg = max(terms)
+        # monicity is judged in the base ring (3t^2+1 is monic over Z2), by make_polyquot
+        deg = max((p for p, c in terms.items() if c), default=0)
         if deg < 1:
             raise ParseError("modulus must have degree >= 1")
-        if terms[deg] != 1:
-            raise ParseError("modulus must be monic")
         return tuple(terms.get(i, 0) for i in range(deg + 1))
 
 

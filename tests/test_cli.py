@@ -45,6 +45,7 @@ def test_analyze_bad_spec_exit_1(capsys):
     ("idealize(Z4,mquot(free(1),[1]))", "InvalidConstruction"),   # the zero module
     ("idealize(Z4,free(0))", "InvalidConstruction"),              # rank-0 free module
     ("quot(Z4,[x])", "ParseError"),                               # a generator that is no integer
+    ("Z4[t]/(2t^2+1)", "InvalidConstruction"),                    # 2t^2+1 is not monic over Z4
 ])
 def test_analyze_invalid_construction_exit_1(capsys, spec, kind):
     assert main(["analyze", spec]) == 1

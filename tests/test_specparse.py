@@ -55,6 +55,14 @@ def test_parse_errors():
             parse_spec(bad)
 
 
+def test_monicity_is_judged_in_the_base_ring():
+    # 3 = 1 in Z2, so 3t^2+1 is monic there and names the same ring as t^2+1
+    R = build_ring(parse_spec("Z2[t]/(3t^2+1)"))
+    S = build_ring(parse_spec("Z2[t]/(t^2+1)"))
+    assert (R.add_table, R.mul_table, R.neg_table) == (S.add_table, S.mul_table, S.neg_table)
+    assert to_text(parse_spec("Z2[t]/(3t^2+1)")) == "Z2[t]/(3t^2+1)"
+
+
 def test_parse_error_is_invalid_construction():
     with pytest.raises(InvalidConstruction):
         parse_spec("???")
