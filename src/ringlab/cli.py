@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .blockalg import verify_example25
-from .errors import RinglabError, TheoremViolation
+from .errors import RinglabError
 from .factor import (
     check_lemma_ubounded,
     check_prop_bfr,
@@ -31,8 +31,7 @@ from .idealization import (
     verify_prime_criterion,
     verify_unit_criterion,
 )
-from .reports import REPORT_FIELDS, analyze_spec, recheck_report
-from .rings import FiniteRing
+from .reports import REPORT_FIELDS, PropertyReport, analyze_spec, recheck_report
 from .specparse import build_ring, build_module, parse_module_spec, parse_spec, to_text
 
 THEOREM_IDS = ("ufr-theorem", "bfr-proposition", "ubounded-lemma", "idealization-structure")
@@ -42,10 +41,16 @@ def _emit(obj: dict, meta: dict) -> None:
     print(json.dumps({"report": obj, "meta": meta}, sort_keys=True))
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RinglabError(f"cannot read {path}: {exc}") from None
+
+
 def _build_pair(ring_text: str, module_text: str | None, cap: int):
     R = build_ring(parse_spec(ring_text), cap=cap)
-    if not isinstance(R, FiniteRing):
-        raise RinglabError("structured backends are only reachable via example25")
     M = None
     if module_text is not None:
         M = build_module(parse_module_spec(module_text), R, cap=cap)
@@ -109,9 +114,9 @@ def _parse_corpus_config(text: str) -> list[str]:
         if line.startswith("range "):
             # "range Zn 2..64"
             parts = line.split()
-            if len(parts) != 3 or parts[1] != "Zn" or ".." not in parts[2]:
+            lo, _, hi = parts[-1].partition("..")
+            if len(parts) != 3 or parts[1] != "Zn" or not (lo.isdecimal() and hi.isdecimal()):
                 raise RinglabError(f"bad range directive: {line!r}")
-            lo, hi = parts[2].split("..")
             specs.extend(f"Z{n}" for n in range(int(lo), int(hi) + 1))
         else:
             specs.append(line)
@@ -132,16 +137,13 @@ def _corpus_row(spec_and_cap) -> dict:
 
 def cmd_corpus(args) -> int:
     t0 = time.perf_counter()
-    with open(args.config) as fh:
-        specs = _parse_corpus_config(fh.read())
+    specs = _parse_corpus_config(_read(args.config))
     jobs = [(s, args.max_ring_size) for s in specs]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_corpus_row, jobs))
     else:
         rows = [_corpus_row(j) for j in jobs]
-
-    from .reports import PropertyReport
 
     violations = []
     bouvier_counts: dict[str, int] = {}
@@ -189,31 +191,42 @@ def cmd_example25(args) -> int:
 
 
 def cmd_recheck(args) -> int:
-    with open(args.report_file) as fh:
-        data = json.load(fh)
-    body = data.get("report", data)
-    reports = body["rows"] if "rows" in body else [body]
+    try:
+        data = json.loads(_read(args.report_file))
+    except json.JSONDecodeError as exc:
+        raise RinglabError(f"{args.report_file} is not JSON: {exc}") from None
     failures = []
-    for rep in reports:
-        if rep.get("error"):
-            continue
-        for f in recheck_report(rep, cap=args.max_ring_size):
-            failures.append({"spec": rep["spec"], "failure": f})
+    try:
+        body = data.get("report", data)
+        reports = body["rows"] if "rows" in body else [body]
+        for rep in reports:
+            if rep.get("error"):
+                continue
+            for f in recheck_report(rep, cap=args.max_ring_size):
+                failures.append({"spec": rep["spec"], "failure": f})
+    except (LookupError, TypeError, AttributeError) as exc:
+        # the file is untrusted input: a field it lacks or misshapes is a bad report
+        raise RinglabError(f"{args.report_file} is not a ringlab report "
+                           f"({type(exc).__name__}: {exc})") from None
     _emit({"checked": len(reports), "failures": failures},
           {"tool_version": __version__})
     return 0 if not failures else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise, so they exit 1 with a typed JSON error like any bad input."""
+
+    def error(self, message):
+        raise RinglabError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ringlab")
+    ap = _ArgumentParser(prog="ringlab")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     com = argparse.ArgumentParser(add_help=False)
     com.add_argument("--max-ring-size", type=int, default=4096)
-    com.add_argument("--json", action="store_true", help="JSON output (default)")
-    com.add_argument("--csv", action="store_true", help="CSV projection (corpus only)")
-    com.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("analyze", parents=[com])
     p.add_argument("spec")
@@ -227,9 +240,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", parents=[com])
     p.add_argument("config")
+    p.add_argument("--csv", action="store_true", help="CSV projection of the rows")
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_corpus)
 
-    p = sub.add_parser("example25", parents=[com])
+    p = sub.add_parser("example25")
     p.add_argument("--stage", type=int, required=True)
     p.set_defaults(fn=cmd_example25)
 
@@ -240,12 +255,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
-    except TheoremViolation as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
-        return 2
     except RinglabError as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return exc.exit_code

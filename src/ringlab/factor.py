@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CapacityExceeded, InvalidQuery, UnboundedElement
+from .errors import CapacityExceeded, InvalidQuery, TheoremViolation, UnboundedElement
 from .idealization import idealize
 from .modules import DivisorGraph, FiniteModule, divisor_graph_over, is_bfm, is_semisimple, search
 from .rings import (
@@ -31,6 +31,9 @@ from .rings import (
     principal_ideal,
     units,
 )
+
+# search nodes minimal_factorizations_of_zero may visit before CapacityExceeded
+ZERO_SEARCH_BUDGET = 2_000_000
 
 # ---------------------------------------------------------------------------
 # associates and atoms
@@ -97,7 +100,7 @@ def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
     # graph form: a self-loop a -> a labeled b is the same relation
     has_loop = any(v in s for v, s in enumerate(divisor_graph(R).succ))
     if (witness is None) != (not has_loop):
-        raise AssertionError(f"presimplifiable cross-check failed on {R.label}")
+        raise TheoremViolation(f"presimplifiable cross-check failed on {R.label}")
     return (witness is None), (witness or {})
 
 
@@ -159,11 +162,14 @@ def max_factorization_length(R: FiniteRing, a: int) -> tuple[int | None, dict]:
 
 def is_bfr(R: FiniteRing) -> tuple[bool, dict]:
     """BFR iff the nonzero-nonunit divisor graph is acyclic."""
-    witness, _ = search(divisor_graph(R), _nonunit_starts(R), units(R))
-    if witness is None:
-        return True, {}
-    witness["element"] = witness["cycle"][0]
-    return False, witness
+    if "bfr" not in R._cache:
+        witness, _ = search(divisor_graph(R), _nonunit_starts(R), units(R))
+        if witness is None:
+            R._cache["bfr"] = True, {}
+        else:
+            witness["element"] = witness["cycle"][0]
+            R._cache["bfr"] = False, witness
+    return R._cache["bfr"]
 
 
 def bf_lengths_oracle(R: FiniteRing, *, cap: int | None = None) -> dict[int, int | None]:
@@ -194,9 +200,7 @@ def bf_lengths_oracle(R: FiniteRing, *, cap: int | None = None) -> dict[int, int
 # minimal factorizations of zero / U-boundedness
 
 
-def minimal_factorizations_of_zero(
-    R: FiniteRing, *, max_nodes: int = 2_000_000
-) -> list[tuple[int, ...]]:
+def minimal_factorizations_of_zero(R: FiniteRing) -> list[tuple[int, ...]]:
     """Minimal factorizations 0 = a_1 ... a_n into nonunits, up to associates.
 
     Factors range over associate-class representatives only: replacing a
@@ -212,7 +216,7 @@ def minimal_factorizations_of_zero(
     rep = associate_class_rep(R)
     reps = sorted({rep[a] for a in nonunits(R)})
     found: list[tuple[int, ...]] = []
-    budget = [max_nodes]
+    budget = [ZERO_SEARCH_BUDGET]
 
     def extend(prefix: list[int], strict_prods: frozenset, prefix_prods: frozenset,
                full_prod: int, start: int):

@@ -44,18 +44,12 @@ def idealize(R: FiniteRing, M: FiniteModule, *, cap: int = DEFAULT_SIZE_CAP) -> 
         for x in M.elements():
             mul.append(array("H", [rrow[s] * nm + w
                                    for s, srow in enumerate(act) for w in cross[srow[x]]]))
-
-    def render(a):
-        ar, ax = divmod(a, nm)
-        return f"({R.render(ar)},{M.render(ax)})"
-
     T = M._cache["idealization"] = FiniteRing(
         pair_table(R.add_table, madd),
         mul,
         pair_vector(R.neg_table, M.neg_table),
         one=R.one * nm,
         label=f"{R.label}(+){M.label}",
-        render=render,
     )
     return T
 
@@ -65,9 +59,9 @@ def verify_unit_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     T = idealize(R, M)
     ru = units(R)
     for a in T.elements():
-        r, _ = divmod(a, M.size)
+        r, x = divmod(a, M.size)
         if is_unit(T, a) != (r in ru):
-            return False, {"pair": a, "rendered": T.render(a)}
+            return False, {"pair": a, "r": r, "x": x}
     return True, {}
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from functools import reduce
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import CapacityExceeded, InvalidConstruction
 from .rings import (
@@ -42,7 +42,6 @@ class FiniteModule:
         act_table: list[array],
         *,
         label: str = "",
-        render: Callable[[int], str] | None = None,
     ):
         self.ring = ring
         self.size = len(neg_table)
@@ -51,7 +50,6 @@ class FiniteModule:
         self.act_table = act_table
         self.zero = 0
         self.label = label or f"mod{self.size}"
-        self._render = render or str
         self._cache: dict = {}
 
     def add(self, x: int, y: int) -> int:
@@ -66,16 +64,12 @@ class FiniteModule:
     def elements(self) -> range:
         return range(self.size)
 
-    def render(self, x: int) -> str:
-        return self._render(x)
-
     def __repr__(self):
         return f"FiniteModule({self.label} over {self.ring.label}, size={self.size})"
 
 
 def make_self_module(R: FiniteRing) -> FiniteModule:
-    return FiniteModule(R, R.add_table, R.neg_table, R.mul_table,
-                        label=f"{R.label}-self", render=R.render)
+    return FiniteModule(R, R.add_table, R.neg_table, R.mul_table, label=f"{R.label}-self")
 
 
 def make_free(R: FiniteRing, k: int, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteModule:
@@ -84,22 +78,12 @@ def make_free(R: FiniteRing, k: int, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteMo
     if k == 1:
         return make_self_module(R)
     check_size(R.size ** k, "free module", cap)
-    n = R.size
-
-    def render(x):
-        coords = []
-        for _ in range(k):
-            x, c = divmod(x, n)
-            coords.append(R.render(c))
-        return "(" + ",".join(coords) + ")"
-
     return FiniteModule(
         R,
         reduce(pair_table, [R.add_table] * k),
         digitwise(R.neg_table, k),
         [digitwise(row, k) for row in R.mul_table],
         label=f"{R.label}^{k}",
-        render=render,
     )
 
 
@@ -128,7 +112,6 @@ def quotient_module(M: FiniteModule, gens: Iterable[int]) -> FiniteModule:
         array("H", [cls[M.neg_table[x]] for x in reps]),
         [array("H", [cls[row[x]] for x in reps]) for row in M.act_table],
         label=f"{M.label}/N{len(N)}",
-        render=lambda x: f"[{M.render(reps[x])}]",
     )
 
 

@@ -24,9 +24,9 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import CapacityExceeded, InvalidConstruction, InvalidIdeal
+from .errors import CapacityExceeded, InvalidConstruction, InvalidIdeal, TheoremViolation
 
 DEFAULT_SIZE_CAP = 4096
 IDEAL_COUNT_CAP = 100_000
@@ -43,7 +43,6 @@ class FiniteRing:
         *,
         one: int = 1,
         label: str = "",
-        render: Callable[[int], str] | None = None,
     ):
         self.size = len(neg_table)
         if self.size < 2:
@@ -54,7 +53,6 @@ class FiniteRing:
         self.zero = 0
         self.one = one
         self.label = label or f"ring{self.size}"
-        self._render = render or str
         self._cache: dict = {}
 
     def add(self, a: int, b: int) -> int:
@@ -68,9 +66,6 @@ class FiniteRing:
 
     def elements(self) -> range:
         return range(self.size)
-
-    def render(self, a: int) -> str:
-        return self._render(a)
 
     def from_int(self, c: int) -> int:
         """Image of the integer c under the unique map Z -> R."""
@@ -223,19 +218,12 @@ def make_zn(n: int) -> FiniteRing:
 
 def make_product(R: FiniteRing, S: FiniteRing, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     check_size(R.size * S.size, "product", cap)
-    ns = S.size
-
-    def render(a):
-        ar, as_ = divmod(a, ns)
-        return f"({R.render(ar)},{S.render(as_)})"
-
     return FiniteRing(
         pair_table(R.add_table, S.add_table),
         pair_table(R.mul_table, S.mul_table),
         pair_vector(R.neg_table, S.neg_table),
-        one=R.one * ns + S.one,
+        one=R.one * S.size + S.one,
         label=f"{R.label} x {S.label}",
-        render=render,
     )
 
 
@@ -273,21 +261,8 @@ def make_polyquot(R: FiniteRing, monic_poly: Iterable[int], *, cap: int = DEFAUL
         else:
             mul.append(array("H", [add[s][times_t[y]] for s, y in zip(scalar[c0], mul[h])]))
 
-    def render(a):
-        terms = []
-        for i in range(d):
-            a, c = divmod(a, n)
-            if c == R.zero:
-                continue
-            if i == 0:
-                terms.append(R.render(c))
-            else:
-                tpow = "t" if i == 1 else f"t^{i}"
-                terms.append(tpow if c == R.one else f"{R.render(c)}{tpow}")
-        return "+".join(terms) if terms else "0"
-
     return FiniteRing(add, mul, digitwise(R.neg_table, d), one=R.one,
-                      label=f"{R.label}[t]/(deg{d})", render=render)
+                      label=f"{R.label}[t]/(deg{d})")
 
 
 def is_ideal(R: FiniteRing, members: frozenset) -> bool:
@@ -311,7 +286,6 @@ def quotient_ring(R: FiniteRing, I: Ideal | frozenset) -> FiniteRing:
         array("H", [cls[R.neg_table[a]] for a in reps]),
         one=cls[R.one],
         label=f"{R.label}/I{len(members)}",
-        render=lambda a: f"[{R.render(reps[a])}]",
     )
 
 
@@ -362,11 +336,11 @@ def ideal_product(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
     return Ideal(R, close_under_addition(R.add_table, prods))
 
 
-def all_ideals(R: FiniteRing, *, cap: int = IDEAL_COUNT_CAP) -> list[Ideal]:
+def all_ideals(R: FiniteRing) -> list[Ideal]:
     """The full ideal lattice, by closing principal ideals under sums."""
     if "all_ideals" not in R._cache:
         pids = {principal_ideal(R, a).members for a in R.elements()}
-        seen = lattice_by_sums(R.add_table, pids, cap=cap, label=R.label)
+        seen = lattice_by_sums(R.add_table, pids, cap=IDEAL_COUNT_CAP, label=R.label)
         R._cache["all_ideals"] = sorted(
             (Ideal(R, m) for m in seen), key=lambda I: (len(I.members), I.sorted())
         )
@@ -397,7 +371,7 @@ def maximal_ideals(R: FiniteRing) -> list[Ideal]:
         ]
         # dimension zero: both computations must agree on finite rings
         if {I.members for I in maxi} != {I.members for I in minp}:
-            raise AssertionError(f"maximal/min-prime mismatch on {R.label}")
+            raise TheoremViolation(f"maximal/min-prime mismatch on {R.label}")
         R._cache["maximal_ideals"] = maxi
         R._cache["min_primes"] = minp
     return R._cache["maximal_ideals"]
@@ -445,7 +419,7 @@ def is_local(R: FiniteRing) -> bool:
         at = R.add_table
         closed = all(nu.issuperset(map(at[a].__getitem__, nu)) for a in nu)
         if via_lattice != closed:
-            raise AssertionError(f"is_local cross-check failed on {R.label}")
+            raise TheoremViolation(f"is_local cross-check failed on {R.label}")
         R._cache["is_local"] = via_lattice
     return R._cache["is_local"]
 
@@ -461,7 +435,7 @@ def is_field(R: FiniteRing) -> bool:
     # finite rings: field iff domain (a nonzero row has its only zero at b = 0)
     domain = all(R.mul_table[a].count(R.zero) == 1 for a in range(1, R.size))
     if via_units != domain:
-        raise AssertionError(f"is_field cross-check failed on {R.label}")
+        raise TheoremViolation(f"is_field cross-check failed on {R.label}")
     return via_units
 
 

@@ -6,7 +6,6 @@ Grammar:
     primary:= "Z" int
             | "quot(" ring "," "[" ints "]" ")"
             | "idealize(" ring "," module ")"
-            | "block(" int ")"
     module := "self" | "free(" int ")" | "mquot(" module "," "[" ints "]" ")"
     poly   := integer polynomial in t, e.g. t^2+t+1, monic in the base ring
 
@@ -18,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .blockalg import BlockAlgebra, make_block_algebra
 from .errors import CapacityExceeded, InvalidConstruction
 from .idealization import idealize
 from .modules import (
@@ -75,11 +73,6 @@ class Idealize:
 
 
 @dataclass(frozen=True)
-class Block:
-    n: int
-
-
-@dataclass(frozen=True)
 class MSelf:
     pass
 
@@ -95,14 +88,14 @@ class MQuot:
     gens: tuple
 
 
-RingAst = Zn | Prod | PolyQuot | Quot | Idealize | Block
+RingAst = Zn | Prod | PolyQuot | Quot | Idealize
 ModuleAst = MSelf | MFree | MQuot
 
 
 # -- tokenizer / parser -------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(Z\d+|idealize|quot|block|mquot|free|self|t|\d+|\[t\]/|[()\[\],x+^*])"
+    r"\s*(Z\d+|idealize|quot|mquot|free|self|t|\d+|\[t\]/|[()\[\],x+^*])"
 )
 
 
@@ -180,11 +173,6 @@ class _Parser:
             module = self.parse_module()
             self.expect(")")
             return Idealize(ring, module)
-        if t == "block":
-            self.expect("(")
-            n = self.parse_int()
-            self.expect(")")
-            return Block(n)
         raise ParseError(f"unexpected token {t!r}")
 
     def parse_module(self) -> ModuleAst:
@@ -296,8 +284,6 @@ def to_text(node) -> str:
             return f"quot({to_text(base)},[{','.join(map(str, gens))}])"
         case Idealize(ring, module):
             return f"idealize({to_text(ring)},{to_text(module)})"
-        case Block(n):
-            return f"block({n})"
         case MSelf():
             return "self"
         case MFree(k):
@@ -322,8 +308,6 @@ def size_estimate(node: RingAst) -> int:
             return size_estimate(base)
         case Idealize(ring, module):
             return size_estimate(ring) * _module_size_estimate(module, size_estimate(ring))
-        case Block(n):
-            return 2 ** (1 + sum(2 ** (i + 1) - 2 for i in range(1, n + 1)))
     raise TypeError(f"not a ring AST: {node!r}")
 
 
@@ -338,8 +322,8 @@ def _module_size_estimate(node: ModuleAst, ring_size: int) -> int:
     raise TypeError(f"not a module AST: {node!r}")
 
 
-def build_ring(node: RingAst, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing | BlockAlgebra:
-    if not isinstance(node, Block) and size_estimate(node) > cap:
+def build_ring(node: RingAst, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+    if size_estimate(node) > cap:
         raise CapacityExceeded(
             f"estimated size {size_estimate(node)} exceeds cap {cap}"
         )
@@ -360,8 +344,6 @@ def build_ring(node: RingAst, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing | Bl
             R = build_ring(ring_ast, cap=cap)
             M = build_module(module_ast, R, cap=cap)
             return idealize(R, M, cap=cap)
-        case Block(n):
-            return make_block_algebra(n)
     raise TypeError(f"not a ring AST: {node!r}")
 
 

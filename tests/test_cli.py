@@ -46,6 +46,8 @@ def test_analyze_bad_spec_exit_1(capsys):
     ("idealize(Z4,free(0))", "InvalidConstruction"),              # rank-0 free module
     ("quot(Z4,[x])", "ParseError"),                               # a generator that is no integer
     ("Z4[t]/(2t^2+1)", "InvalidConstruction"),                    # 2t^2+1 is not monic over Z4
+    ("block(2) x Z2", "ParseError"),
+    ("quot(block(2),[1])", "ParseError"),
 ])
 def test_analyze_invalid_construction_exit_1(capsys, spec, kind):
     assert main(["analyze", spec]) == 1
@@ -151,3 +153,87 @@ def test_recheck_detects_tampering(tmp_path, capsys):
     code, out = run(capsys, "recheck", str(bad))
     assert code == 2
     assert json.loads(out)["report"]["failures"]
+
+
+def _error_kind(capsys) -> str:
+    return json.loads(capsys.readouterr().err)["kind"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],                      # no spec
+    ["analyze", "Z6", "--json"],      # a removed flag
+    ["analyze", "Z6", "--jobs", "2"],  # corpus only
+    ["example25", "--stage", "2", "--max-ring-size", "64"],
+    ["verify", "no-such-theorem", "--ring", "Z4"],
+    ["analyze", "Z6", "--max-ring-size", "many"],
+])
+def test_usage_errors_exit_1_typed(capsys, argv):
+    assert main(argv) == 1
+    assert _error_kind(capsys) == "RinglabError"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+
+
+def test_each_subcommand_lists_only_the_flags_it_reads():
+    from ringlab.cli import make_parser
+
+    sub = next(a for a in make_parser()._actions if a.dest == "command")
+    flags = {name: sorted(s for a in p._actions for s in a.option_strings if s.startswith("--"))
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "analyze": ["--help", "--max-ring-size"],
+        "verify": ["--help", "--max-ring-size", "--module", "--ring"],
+        "corpus": ["--csv", "--help", "--jobs", "--max-ring-size"],
+        "example25": ["--help", "--stage"],
+        "recheck": ["--help", "--max-ring-size"],
+    }
+
+
+def test_corpus_missing_file(tmp_path, capsys):
+    assert main(["corpus", str(tmp_path / "missing.txt")]) == 1
+    assert _error_kind(capsys) == "RinglabError"
+
+
+@pytest.mark.parametrize("line", ["range Zn 2..x", "range Zn 2..3..4", "range Zn 5"])
+def test_corpus_bad_range_bound(tmp_path, capsys, line):
+    cfg = tmp_path / "corpus.txt"
+    cfg.write_text(line + "\n")
+    assert main(["corpus", str(cfg)]) == 1
+    assert _error_kind(capsys) == "RinglabError"
+
+
+def test_corpus_block_line_fails_the_config(tmp_path, capsys):
+    cfg = tmp_path / "corpus.txt"
+    cfg.write_text("Z6\nblock(2)\n")
+    assert main(["corpus", str(cfg)]) == 1
+    assert _error_kind(capsys) == "ParseError"
+
+
+@pytest.mark.parametrize("content", [
+    None,                                      # no such file
+    "not json {",                              # not JSON
+    '{"report": {"spec": "Z6"}}',              # a report without its fields
+    '{"report": {"rows": [{"spec": "Z6", "size": 6}]}}',
+    "[1, 2]",                                  # JSON, but no report
+])
+def test_recheck_bad_input_exit_1_typed(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["recheck", str(path)]) == 1
+    assert _error_kind(capsys) == "RinglabError"
+
+
+def test_cross_check_failure_is_a_theorem_violation(monkeypatch, capsys):
+    from ringlab import factor
+    from ringlab.modules import DivisorGraph
+
+    # a graph with no edges loses the self-loop a -> a labeled b of 3 = 3 * 3 in Z6
+    monkeypatch.setattr(factor, "divisor_graph", lambda R: DivisorGraph([{} for _ in range(R.size)]))
+    assert main(["analyze", "Z6"]) == 2
+    assert _error_kind(capsys) == "TheoremViolation"

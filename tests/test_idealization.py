@@ -60,6 +60,16 @@ def test_unit_criterion():
         assert units(T) == frozenset(expected)
 
 
+def test_unit_criterion_failure_names_the_pair(monkeypatch):
+    import ringlab.idealization
+
+    R = make_zn(4)
+    M = make_self_module(R)
+    monkeypatch.setattr(ringlab.idealization, "is_unit", lambda T, a: False)
+    # the first pair misjudged is (1, 0), the unity of Z4(+)Z4
+    assert verify_unit_criterion(R, M) == (False, {"pair": 4, "r": 1, "x": 0})
+
+
 def test_idealize_local_iff_base_local():
     for n in (4, 6, 8, 9, 12):
         R = make_zn(n)

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from ringlab.errors import CapacityExceeded, InvalidConstruction
 from ringlab.specparse import (
-    Block,
     Idealize,
     MFree,
     MQuot,
@@ -29,7 +28,6 @@ def test_simple_specs():
     assert parse_spec("Z2[t]/(t^2+t+1)") == PolyQuot(Zn(2), (1, 1, 1))
     assert parse_spec("quot(Z12,[4])") == Quot(Zn(12), (4,))
     assert parse_spec("idealize(Z4,self)") == Idealize(Zn(4), MSelf())
-    assert parse_spec("block(3)") == Block(3)
 
 
 def test_module_specs():
@@ -50,7 +48,7 @@ def test_whitespace_insensitive():
 
 
 def test_parse_errors():
-    for bad in ["", "Zx", "Z6 x", "quot(Z6", "idealize(Z6)", "block()", "Z6)", "quot(Z4,[x])"]:
+    for bad in ["", "Zx", "Z6 x", "quot(Z6", "idealize(Z6)", "block()", "Z6)", "quot(Z4,[x])", "block(3)"]:
         with pytest.raises(ParseError):
             parse_spec(bad)
 
@@ -122,7 +120,6 @@ ring_ast = st.deferred(
             st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=2),
         ).map(lambda t: Quot(t[0], tuple(t[1]))),
         st.tuples(ring_ast, module_ast).map(lambda t: Idealize(*t)),
-        st.integers(min_value=1, max_value=6).map(Block),
     )
 )
 # a product factor is any non-product term: Prod(a, Prod(b, c)) has no spelling
