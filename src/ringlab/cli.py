@@ -2,7 +2,9 @@
 
 Subcommands: analyze, verify, corpus, example25, recheck. Exit codes:
 0 ok, 1 usage/construction error, 2 theorem violation, 3 capacity
-exceeded. All JSON output is deterministic (sorted keys); timings are
+exceeded. A corpus row that fails becomes an error row with its
+``error_kind``; only theorem violations and untyped errors make corpus
+exit 2. All JSON output is deterministic (sorted keys); timings are
 kept in a separate "meta" object so the "report" payload is byte-stable.
 """
 
@@ -14,6 +16,7 @@ import io
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
@@ -128,11 +131,14 @@ def _corpus_row(spec_and_cap) -> dict:
     spec, cap = spec_and_cap
     try:
         report, elapsed = analyze_spec(spec, cap=cap)
-        report["error"] = None
-        report["row_timing_seconds"] = elapsed
-        return report
-    except RinglabError as exc:
-        return {"spec": spec, "error": f"{type(exc).__name__}: {exc}"}
+    except Exception as exc:  # one failing row must not end the sweep: it becomes an error row
+        row = {"spec": spec, "error": f"{type(exc).__name__}: {exc}", "error_kind": type(exc).__name__}
+        if not isinstance(exc, RinglabError):
+            row["traceback"] = traceback.format_exc()
+        return row
+    report["error"] = None
+    report["row_timing_seconds"] = elapsed
+    return report
 
 
 def cmd_corpus(args) -> int:
@@ -147,9 +153,15 @@ def cmd_corpus(args) -> int:
 
     violations = []
     bouvier_counts: dict[str, int] = {}
+    errors_by_kind: dict[str, int] = {}
     for row in rows:
         if row.get("error"):
-            violations.append({"spec": row["spec"], "violation": row["error"]})
+            kind = row["error_kind"]
+            errors_by_kind[kind] = errors_by_kind.get(kind, 0) + 1
+            # a capacity or construction error is an answer about the input; a failed
+            # cross-check or an untyped error (it carries a traceback) is a fault
+            if kind == "TheoremViolation" or "traceback" in row:
+                violations.append({"spec": row["spec"], "violation": row["error"]})
             continue
         bc = row["bouvier_class"]
         bouvier_counts[bc] = bouvier_counts.get(bc, 0) + 1
@@ -161,6 +173,7 @@ def cmd_corpus(args) -> int:
     summary = {
         "rows": len(rows),
         "bouvier_counts": bouvier_counts,
+        "errors_by_kind": errors_by_kind,
         "violations": violations,
         "violation_count": len(violations),
     }

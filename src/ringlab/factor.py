@@ -18,6 +18,7 @@ from .idealization import idealize
 from .modules import DivisorGraph, FiniteModule, divisor_graph_over, is_bfm, is_semisimple, search
 from .rings import (
     FiniteRing,
+    associate_class_rep,
     chain_height,
     ideal_product,
     is_field,
@@ -28,7 +29,7 @@ from .rings import (
     maximal_ideal,
     min_primes,
     nonunits,
-    principal_ideal,
+    principal_ideals,
     units,
 )
 
@@ -40,17 +41,8 @@ ZERO_SEARCH_BUDGET = 2_000_000
 
 
 def associates(R: FiniteRing, a: int, b: int) -> bool:
-    return principal_ideal(R, a).members == principal_ideal(R, b).members
-
-
-def associate_class_rep(R: FiniteRing) -> list[int]:
-    """Map each element to the minimal index generating the same principal ideal."""
-    if "assoc_rep" not in R._cache:
-        by_ideal: dict[frozenset, int] = {}
-        R._cache["assoc_rep"] = [
-            by_ideal.setdefault(principal_ideal(R, a).members, a) for a in R.elements()
-        ]
-    return R._cache["assoc_rep"]
+    rep = associate_class_rep(R)
+    return rep[a] == rep[b]
 
 
 def is_atom(R: FiniteRing, a: int) -> bool:
@@ -106,7 +98,7 @@ def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
 
 def is_accp(R: FiniteRing) -> tuple[bool, int]:
     """Always true at finite scale; returns the principal-ideal chain height."""
-    return True, chain_height(principal_ideal(R, a).members for a in R.elements())
+    return True, chain_height(principal_ideals(R))
 
 
 # ---------------------------------------------------------------------------

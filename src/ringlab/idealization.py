@@ -8,6 +8,7 @@ is an implementation bug and carries the offending witness.
 
 from __future__ import annotations
 
+import operator
 from array import array
 
 from .errors import ScalarMismatch
@@ -18,6 +19,7 @@ from .rings import (
     Ideal,
     all_ideals,
     check_size,
+    gather,
     ideal_product,
     is_ideal,
     is_prime_ideal,
@@ -29,23 +31,31 @@ from .rings import (
 
 
 def idealize(R: FiniteRing, M: FiniteModule, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    """R(+)M, built once per module: (r, x)(s, y) = (rs, ry + sx)."""
+    """R(+)M, built once per module: (r, x)(s, y) = (rs, ry + sx).
+
+    Block s of the row of (r, x) is the add row of (rs, sx) read at the
+    entries ry of the action row of r. For each r, a block is built once
+    per distinct (rs, sx), and each row is a join of blocks.
+    """
     if M.ring is not R:
         raise ScalarMismatch(f"module {M.label} is not over {R.label}")
     check_size(R.size * M.size, "idealization", cap)
     if "idealization" in M._cache:
         return M._cache["idealization"]
     nm = M.size
-    act, madd = M.act_table, M.add_table
+    add = pair_table(R.add_table, M.add_table)
+    columns = list(zip(*M.act_table))  # columns[x][s] = s*x
     mul = []
-    for r, rrow in enumerate(R.mul_table):
-        # cross[c][y] = c + r*y; the row of (r, x) reads it at c = s*x
-        cross = [array("H", map(crow.__getitem__, act[r])) for crow in madd]
-        for x in M.elements():
-            mul.append(array("H", [rrow[s] * nm + w
-                                   for s, srow in enumerate(act) for w in cross[srow[x]]]))
+    for rrow, get in zip(R.mul_table, map(gather, M.act_table)):
+        offsets = [u * nm for u in rrow]  # (rs, 0)
+        blocks: dict[int, bytes] = {}
+        for column in columns:
+            keys = list(map(operator.add, offsets, column))  # (rs, sx)
+            for c in set(keys).difference(blocks):
+                blocks[c] = array("H", get(add[c])).tobytes()
+            mul.append(array("H", b"".join(gather(keys)(blocks))))
     T = M._cache["idealization"] = FiniteRing(
-        pair_table(R.add_table, madd),
+        add,
         mul,
         pair_vector(R.neg_table, M.neg_table),
         one=R.one * nm,

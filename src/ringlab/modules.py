@@ -9,7 +9,6 @@ a chain through 0 would force the source to be 0).
 from __future__ import annotations
 
 from array import array
-from functools import reduce
 from typing import Iterable
 
 from .errors import CapacityExceeded, InvalidConstruction
@@ -23,10 +22,11 @@ from .rings import (
     close_under_addition,
     coset_classes,
     digitwise,
+    gather,
     jacobson_radical,
     lattice_by_sums,
     nonunits,
-    pair_table,
+    power_table,
     quotient_table,
 )
 
@@ -80,7 +80,7 @@ def make_free(R: FiniteRing, k: int, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteMo
     check_size(R.size ** k, "free module", cap)
     return FiniteModule(
         R,
-        reduce(pair_table, [R.add_table] * k),
+        power_table(R.add_table, k),
         digitwise(R.neg_table, k),
         [digitwise(row, k) for row in R.mul_table],
         label=f"{R.label}^{k}",
@@ -108,16 +108,16 @@ def quotient_module(M: FiniteModule, gens: Iterable[int]) -> FiniteModule:
     cls, reps = coset_classes(M.add_table, N)
     return FiniteModule(
         M.ring,
-        quotient_table(M.add_table, cls, reps),
-        array("H", [cls[M.neg_table[x]] for x in reps]),
-        [array("H", [cls[row[x]] for x in reps]) for row in M.act_table],
+        quotient_table(gather(reps)(M.add_table), cls, reps),
+        quotient_table([M.neg_table], cls, reps)[0],
+        quotient_table(M.act_table, cls, reps),
         label=f"{M.label}/N{len(N)}",
     )
 
 
 def all_submodules(M: FiniteModule) -> list[frozenset]:
     if "all_submodules" not in M._cache:
-        cyclic = {cyclic_submodule(M, x) for x in M.elements()}
+        cyclic = set(map(frozenset, zip(*M.act_table)))  # column x is Rx
         seen = lattice_by_sums(M.add_table, cyclic, cap=IDEAL_COUNT_CAP, label=M.label)
         M._cache["all_submodules"] = sorted(seen, key=lambda m: (len(m), sorted(m)))
     return M._cache["all_submodules"]
@@ -154,7 +154,7 @@ def is_semisimple_oracle(M: FiniteModule, *, cap: int = 4096) -> bool:
 
 def is_accc(M: FiniteModule) -> tuple[bool, int]:
     """Always true at finite scale; returns the cyclic-submodule chain height."""
-    return True, chain_height(cyclic_submodule(M, x) for x in M.elements())
+    return True, chain_height(map(frozenset, zip(*M.act_table)))  # column x is Rx
 
 
 class DivisorGraph:

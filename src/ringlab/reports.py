@@ -130,14 +130,23 @@ def analyze_spec(text: str, *, cap: int = 4096) -> tuple[dict, float]:
 # witness replay
 
 
-def _replay_presimplifiable(R: FiniteRing, w: dict) -> bool:
-    a, b = w["a"], w["b"]
-    return a != R.zero and not is_unit(R, b) and R.mul(a, b) == a
+def _elements(R: FiniteRing, values) -> bool:
+    """values is a list of element indices of R (JSON booleans and floats are not)."""
+    return isinstance(values, list) and all(type(v) is int and 0 <= v < R.size for v in values)
 
 
-def _replay_cycle(R: FiniteRing, w: dict) -> bool:
-    cycle, labels = w["cycle"], w["labels"]
-    if not cycle or len(cycle) != len(labels):
+def _get(w, key):
+    return w.get(key) if isinstance(w, dict) else None
+
+
+def _replay_presimplifiable(R: FiniteRing, w) -> bool:
+    a, b = _get(w, "a"), _get(w, "b")
+    return _elements(R, [a, b]) and a != R.zero and not is_unit(R, b) and R.mul(a, b) == a
+
+
+def _replay_cycle(R: FiniteRing, w) -> bool:
+    cycle, labels = _get(w, "cycle"), _get(w, "labels")
+    if not (_elements(R, cycle) and _elements(R, labels) and cycle and len(cycle) == len(labels)):
         return False
     nus = nonunits(R)
     for k, a in enumerate(cycle):
@@ -148,7 +157,9 @@ def _replay_cycle(R: FiniteRing, w: dict) -> bool:
     return True
 
 
-def _replay_u_bounded(R: FiniteRing, factors: list) -> bool:
+def _replay_u_bounded(R: FiniteRing, factors) -> bool:
+    if not _elements(R, factors):
+        return False
     nus = nonunits(R)
     if any(f not in nus for f in factors):
         return False
@@ -167,23 +178,26 @@ def _replay_u_bounded(R: FiniteRing, factors: list) -> bool:
     return True
 
 
-def _replay_ufr_witness(R: FiniteRing, w: dict) -> bool:
-    reason = w.get("reason")
+def _replay_ufr_witness(R: FiniteRing, w) -> bool:
+    reason, a, multisets = _get(w, "reason"), _get(w, "element"), _get(w, "multisets")
     if reason == "not_bfr":
         return _replay_cycle(R, w)
+    if not _elements(R, [a]):
+        return False
     if reason == "not_atomic":
-        return w["element"] != R.zero and not is_unit(R, w["element"])
-    if reason == "non_unique":
-        a = w["element"]
+        return a != R.zero and not is_unit(R, a)
+    if reason == "non_unique" and isinstance(multisets, list):
         seen = set()
-        for multiset in w["multisets"]:
+        for multiset in multisets:
+            if not _elements(R, multiset):
+                return False
             prod = R.one
             for f in multiset:
                 prod = R.mul(prod, f)
             if prod != a:
                 return False
             seen.add(tuple(sorted(multiset)))
-        return len(seen) == len(w["multisets"])
+        return len(seen) == len(multisets)
     return False
 
 
@@ -205,8 +219,10 @@ def recheck_report(report: dict, *, cap: int = 4096) -> list[str]:
     if not report["ufr_direct"]:
         if not _replay_ufr_witness(R, report["ufr_witness"]):
             failures.append("ufr witness does not replay")
-    if report["u_bounded_example"] is not None:
-        if not _replay_u_bounded(R, report["u_bounded_example"]):
+    # a positive length claims an example of that length; length 0 claims none
+    example = report["u_bounded_example"]
+    if report["u_bounded_max_len"] or example is not None:
+        if not _replay_u_bounded(R, example) or len(example) != report["u_bounded_max_len"]:
             failures.append("u-bounded example does not replay")
     # classification fields are cheap to recompute, so recheck them outright
     if report["unit_count"] != len(units(R)):

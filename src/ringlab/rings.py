@@ -23,8 +23,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from math import gcd
-from typing import Iterable
+from operator import getitem, itemgetter, not_
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityExceeded, InvalidConstruction, InvalidIdeal, TheoremViolation
 
@@ -105,6 +107,11 @@ def check_size(size: int, what: str, cap: int) -> None:
         raise CapacityExceeded(f"{what} size {size} exceeds cap {min(cap, TABLE_SIZE_LIMIT)}")
 
 
+def gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """itemgetter(*idx): row -> (row[i] for i in idx) as one C-level call, a tuple even for one index."""
+    return itemgetter(*idx) if len(idx) != 1 else (lambda row, i=idx[0]: (row[i],))
+
+
 def pair_vector(outer: Iterable[int], inner: list[int] | array) -> array:
     """The map x -> outer[x // k] * k + inner[x % k], with k = len(inner)."""
     k = len(inner)
@@ -115,18 +122,14 @@ def pair_table(outer: list[array], inner: list[array]) -> list[array]:
     """The operation (x, y) -> outer[x//k][y//k] * k + inner[x%k][y%k], k = len(inner).
 
     This is the componentwise operation on pairs encoded as x = xo*k + xi.
-    Each row is joined from per-block byte strings, so the Python-level
-    work is one lookup per block, not one per entry.
+    Block v of an inner row, v*k + row, is built once per row and v; each
+    table row is then a join of blocks, one lookup per block.
     """
-    k = len(inner)
-    shifted = [[pair_vector([v], row).tobytes() for v in range(len(outer))] for row in inner]
-    table = []
-    for orow in outer:
-        for blocks in shifted:
-            row = array("H")
-            row.frombytes(b"".join([blocks[v] for v in orow]))
-            table.append(row)
-    return table
+    k, m = len(inner), len(outer)
+    span = list(range(m * k))
+    shifted = [[array("H", get(span[v * k:v * k + k])).tobytes() for v in range(m)]
+               for get in map(gather, inner)]
+    return [array("H", b"".join(get(blocks))) for get in map(gather, outer) for blocks in shifted]
 
 
 def digitwise(f: list[int] | array, d: int) -> array:
@@ -134,22 +137,27 @@ def digitwise(f: list[int] | array, d: int) -> array:
     return reduce(pair_vector, [f] * d, [0])
 
 
-def coset_classes(add_table: list[array], subgroup: Iterable[int]) -> tuple[list[int], list[int]]:
+def power_table(table: list[array], d: int) -> list[array]:
+    """pair_table of d copies of table, split in halves so both factors stay large."""
+    return table if d == 1 else pair_table(power_table(table, d - d // 2), power_table(table, d // 2))
+
+
+def coset_classes(add_table: list[array], subgroup: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     """(class index of each element, least element of each class), classes in that order."""
-    sub = sorted(subgroup)
-    cls = [-1] * len(add_table)
+    get = gather(sorted(subgroup))
+    cls: dict[int, int] = {}
     reps: list[int] = []
     for a, row in enumerate(add_table):
-        if cls[a] < 0:
-            for i in sub:
-                cls[row[i]] = len(reps)
+        if a not in cls:
+            cls.update(dict.fromkeys(get(row), len(reps)))
             reps.append(a)
     return cls, reps
 
 
-def quotient_table(table: list[array], cls: list[int], reps: list[int]) -> list[array]:
-    """The operation induced on classes, read through their representatives."""
-    return [array("H", [cls[row[b]] for b in reps]) for row in (table[a] for a in reps)]
+def quotient_table(rows: Iterable[array], cls: dict[int, int], reps: list[int]) -> list[array]:
+    """Each row read at the class representatives, as class indices (induced operations)."""
+    get = gather(reps)
+    return [array("H", gather(get(row))(cls)) for row in rows]
 
 
 def close_under_addition(add_table: list[array], seed: Iterable[int]) -> frozenset:
@@ -166,13 +174,18 @@ def close_under_addition(add_table: list[array], seed: Iterable[int]) -> frozens
 
 
 def subgroup_sum(add_table: list[array], A: frozenset, B: frozenset) -> frozenset:
+    """A + B as the union of the cosets b + A over b in B, each coset taken once."""
     if A <= B:
         return B
     if B <= A:
         return A
-    out: set = set()
-    for a in A:
-        out.update(map(add_table[a].__getitem__, B))
+    if len(A) < len(B):
+        A, B = B, A
+    get = gather(list(A))
+    out = set(A)
+    for b in B:
+        if b not in out:
+            out.update(get(add_table[b]))
     return frozenset(out)
 
 
@@ -186,13 +199,17 @@ def chain_height(family: Iterable[frozenset]) -> int:
 
 
 def lattice_by_sums(add_table: list[array], cyclic: Iterable[frozenset], *, cap: int, label: str) -> set:
-    """Close a family of subgroups under pairwise sums (ideals, submodules)."""
-    seen = set(cyclic)
+    """All sums of the cyclic subgroups given (ideals from principal ideals, submodules).
+
+    Each member is a sum of generators, so adding one generator at a time reaches them all.
+    """
+    gens = set(cyclic)
+    seen = set(gens)
     worklist = list(seen)
     while worklist:
         cur = worklist.pop()
-        for other in list(seen):
-            s = subgroup_sum(add_table, cur, other)
+        for g in gens:
+            s = subgroup_sum(add_table, cur, g)
             if s not in seen:
                 if len(seen) >= cap:
                     raise CapacityExceeded(f"lattice size exceeded cap {cap} on {label}")
@@ -209,11 +226,21 @@ def make_zn(n: int) -> FiniteRing:
     if n < 2:
         raise InvalidConstruction(f"Z_n needs n >= 2, got {n}")
     check_size(n, "Z_n", TABLE_SIZE_LIMIT)
-    els = range(n)
-    add = [array("H", range(a, n)) + array("H", range(a)) for a in els]
-    # row a repeats with period n / gcd(a, n)
-    mul = [array("H", [a * b % n for b in range(n // gcd(a, n))]) * gcd(a, n) for a in els]
-    return FiniteRing(add, mul, array("H", [-a % n for a in els]), label=f"Z{n}")
+    base = array("H", range(n))
+    twice = base * 2
+    add = [twice[a:a + n] for a in range(n)]
+    # row a is every a-th entry of 0..n-1 repeated, and has period n / gcd(a, n);
+    # it is read in strided slices of a buffer of 64 copies of 0..n-1
+    cycle = base * 64
+    mul = [array("H", [0]) * n]
+    for a in range(1, n):
+        period = n // gcd(a, n)
+        row = array("H")
+        while len(row) < period:
+            start = len(row) * a % n
+            row += cycle[start:start + a * (period - len(row)):a]
+        mul.append(row * (n // period))
+    return FiniteRing(add, mul, base[:1] + base[:0:-1], label=f"Z{n}")
 
 
 def make_product(R: FiniteRing, S: FiniteRing, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
@@ -234,6 +261,9 @@ def make_polyquot(R: FiniteRing, monic_poly: Iterable[int], *, cap: int = DEFAUL
     Addition is coefficient-wise. Multiplication is built row by row:
     a = c_0 + t*h gives a*b = c_0*b + t*(h*b), where h < a, c_0*b is
     coefficient-wise and t*x reduces t^d = -(c_{d-1} t^{d-1} + ... + c_0).
+    That recurrence is evaluated only at the k low-degree b and at the
+    multiples of t^e (k = n^e); the rest of the row follows by additivity,
+    a*(u t^e + v) = a*(u t^e) + a*v, one block of k entries per u.
     """
     coeffs = list(monic_poly)
     if len(coeffs) < 2:
@@ -244,23 +274,21 @@ def make_polyquot(R: FiniteRing, monic_poly: Iterable[int], *, cap: int = DEFAUL
     size = R.size ** d
     check_size(size, "polyquot", cap)
     n = R.size
-    top = n ** (d - 1)
-    add = reduce(pair_table, [R.add_table] * d)
+    add = power_table(R.add_table, d)
     scalar = [digitwise(row, d) for row in R.mul_table]
     # t * x: shift the coefficients up, then subtract c_{d-1} * f
     reduction = [sum(R.neg(R.mul(c, f)) * n ** i for i, f in enumerate(coeffs[:d]))
                  for c in R.elements()]
-    times_t = [add[(x % top) * n][reduction[x // top]] for x in range(size)]
-    mul: list[array] = []
-    for a in range(size):
-        c0, h = a % n, a // n
-        if a < n:
-            mul.append(scalar[c0])
-        elif c0 == R.zero:
-            mul.append(array("H", [times_t[y] for y in mul[h]]))
-        else:
-            mul.append(array("H", [add[s][times_t[y]] for s, y in zip(scalar[c0], mul[h])]))
-
+    shift = gather(range(0, size, n))
+    times_t = array("H", b"".join(array("H", shift(add[r])).tobytes() for r in reduction))
+    k = n ** ((d + 1) // 2)
+    mul = scalar[:]
+    for a in range(n, size):
+        c0, h = scalar[a % n], mul[a // n]
+        low = [add[x][times_t[y]] for x, y in zip(c0[:k], h[:k])]
+        high = [add[x][times_t[y]] for x, y in zip(c0[::k], h[::k])]
+        get = gather(low)
+        mul.append(array("H", b"".join([array("H", get(add[u])).tobytes() for u in high])))
     return FiniteRing(add, mul, digitwise(R.neg_table, d), one=R.one,
                       label=f"{R.label}[t]/(deg{d})")
 
@@ -280,10 +308,11 @@ def quotient_ring(R: FiniteRing, I: Ideal | frozenset) -> FiniteRing:
     if not is_ideal(R, members):
         raise InvalidIdeal(f"{sorted(members)} is not an ideal of {R.label}")
     cls, reps = coset_classes(R.add_table, members)
+    get = gather(reps)
     return FiniteRing(
-        quotient_table(R.add_table, cls, reps),
-        quotient_table(R.mul_table, cls, reps),
-        array("H", [cls[R.neg_table[a]] for a in reps]),
+        quotient_table(get(R.add_table), cls, reps),
+        quotient_table(get(R.mul_table), cls, reps),
+        quotient_table([R.neg_table], cls, reps)[0],
         one=cls[R.one],
         label=f"{R.label}/I{len(members)}",
     )
@@ -309,12 +338,23 @@ def nonunits(R: FiniteRing) -> frozenset:
 
 
 def principal_ideal(R: FiniteRing, a: int) -> Ideal:
-    # in a commutative unital ring, <a> = {ra : r in R}; associates share one Ideal
-    key = ("pid", a)
-    if key not in R._cache:
-        members = frozenset(R.mul_table[a])
-        R._cache[key] = R._cache.setdefault(("pid", members), Ideal(R, members))
-    return R._cache[key]
+    # in a commutative unital ring, <a> = {ra : r in R}
+    return Ideal(R, frozenset(R.mul_table[a]))
+
+
+def principal_ideals(R: FiniteRing) -> dict[frozenset, int]:
+    """Each distinct principal ideal aR, mapped to its least generator, from one sweep per ring."""
+    if "principal_ideals" not in R._cache:
+        found: dict[frozenset, int] = {}
+        R._cache["associate_rep"] = [found.setdefault(m, a) for a, m in enumerate(map(frozenset, R.mul_table))]
+        R._cache["principal_ideals"] = found
+    return R._cache["principal_ideals"]
+
+
+def associate_class_rep(R: FiniteRing) -> list[int]:
+    """Map each element to the minimal index generating the same principal ideal."""
+    principal_ideals(R)
+    return R._cache["associate_rep"]
 
 
 def generated_ideal(R: FiniteRing, gens: Iterable[int]) -> Ideal:
@@ -339,8 +379,7 @@ def ideal_product(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
 def all_ideals(R: FiniteRing) -> list[Ideal]:
     """The full ideal lattice, by closing principal ideals under sums."""
     if "all_ideals" not in R._cache:
-        pids = {principal_ideal(R, a).members for a in R.elements()}
-        seen = lattice_by_sums(R.add_table, pids, cap=IDEAL_COUNT_CAP, label=R.label)
+        seen = lattice_by_sums(R.add_table, principal_ideals(R), cap=IDEAL_COUNT_CAP, label=R.label)
         R._cache["all_ideals"] = sorted(
             (Ideal(R, m) for m in seen), key=lambda I: (len(I.members), I.sorted())
         )
@@ -348,22 +387,26 @@ def all_ideals(R: FiniteRing) -> list[Ideal]:
 
 
 def is_prime_ideal(R: FiniteRing, I: Ideal) -> bool:
-    if len(I.members) == R.size:
-        return False
+    """No product of two elements outside I falls in I; whether ab is in I depends
+    only on a + I and b + I, so one representative of each nonzero class is tested."""
     mem = I.members
-    outside = [a for a in R.elements() if a not in mem]
-    mt = R.mul_table
-    return all(mem.isdisjoint(map(mt[a].__getitem__, outside)) for a in outside)
+    if len(mem) == R.size:
+        return False
+    outside = coset_classes(R.add_table, mem)[1][1:]  # class 0 is I itself
+    get, mt = gather(outside), R.mul_table
+    return all(mem.isdisjoint(get(mt[a])) for a in outside)
 
 
 def maximal_ideals(R: FiniteRing) -> list[Ideal]:
     if "maximal_ideals" not in R._cache:
         lattice = all_ideals(R)
         proper = [I for I in lattice if len(I.members) < R.size]
-        maxi = [
-            I for I in proper
-            if not any(I.members < J.members for J in proper)
-        ]
+        # larger ideals first: an ideal that is not maximal lies in a maximal one already found
+        maxi: list[Ideal] = []
+        for I in reversed(proper):
+            if not any(I.members < J.members for J in maxi):
+                maxi.append(I)
+        maxi.reverse()
         primes = [I for I in lattice if is_prime_ideal(R, I)]
         minp = [
             I for I in primes
@@ -384,15 +427,11 @@ def min_primes(R: FiniteRing) -> list[Ideal]:
 
 def nilradical(R: FiniteRing) -> Ideal:
     if "nilradical" not in R._cache:
-        nil = set()
-        for a, row in enumerate(R.mul_table):
-            p = a
-            for _ in range(R.size):
-                if p == R.zero:
-                    nil.add(a)
-                    break
-                p = row[p]
-        R._cache["nilradical"] = Ideal(R, frozenset(nil))
+        # a is nilpotent iff a^(2^k) = 0 once 2^k >= |R|: k squarings of every element at once
+        power = square = array("H", map(getitem, R.mul_table, R.elements()))
+        for _ in range((R.size - 1).bit_length() - 1):
+            power = gather(power)(square)
+        R._cache["nilradical"] = Ideal(R, frozenset(compress(R.elements(), map(not_, power))))
     return R._cache["nilradical"]
 
 
@@ -443,7 +482,7 @@ def is_spir(R: FiniteRing) -> bool:
     """Special principal ideal ring: local, all ideals principal, m nilpotent."""
     if not is_local(R):
         return False
-    pids = {principal_ideal(R, a).members for a in R.elements()}
+    pids = principal_ideals(R)
     if any(I.members not in pids for I in all_ideals(R)):
         return False
     m = maximal_ideal(R)

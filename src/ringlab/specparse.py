@@ -27,6 +27,7 @@ from .modules import (
 )
 from .rings import (
     DEFAULT_SIZE_CAP,
+    TABLE_SIZE_LIMIT,
     FiniteRing,
     generated_ideal,
     make_polyquot,
@@ -112,8 +113,23 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# At most this many constructions keep every recursive pass over a spec shallow
+MAX_CONSTRUCTIONS, CONSTRUCTORS = 64, ("x", "[t]/", "quot", "idealize", "mquot")
+# t^k and free(k) give more than TABLE_SIZE_LIMIT elements over any ring once k > MAX_EXPONENT
+MAX_EXPONENT = TABLE_SIZE_LIMIT.bit_length() - 1
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"integer with {len(text)} digits is too long") from None
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
+        if sum(t in CONSTRUCTORS for t in tokens) > MAX_CONSTRUCTIONS:
+            raise ParseError(f"spec has more than {MAX_CONSTRUCTIONS} constructions")
         self.toks = tokens
         self.i = 0
 
@@ -136,7 +152,7 @@ class _Parser:
         t = self.next()
         if not t.isdigit():
             raise ParseError(f"expected integer, got {t!r}")
-        return int(t)
+        return _int(t)
 
     def parse_ring(self) -> RingAst:
         node = self.parse_term()
@@ -158,7 +174,7 @@ class _Parser:
     def parse_primary(self) -> RingAst:
         t = self.next()
         if t.startswith("Z") and t[1:].isdigit():
-            return Zn(int(t[1:]))
+            return Zn(_int(t[1:]))
         if t == "quot":
             self.expect("(")
             base = self.parse_ring()
@@ -211,7 +227,7 @@ class _Parser:
             coeff, power = 1, 0
             t = self.next()
             if t.isdigit():
-                coeff = int(t)
+                coeff = _int(t)
                 if self.peek() == "*":
                     self.next()
                 if self.peek() == "t":
@@ -232,6 +248,8 @@ class _Parser:
         deg = max((p for p, c in terms.items() if c), default=0)
         if deg < 1:
             raise ParseError("modulus must have degree >= 1")
+        if deg > MAX_EXPONENT:
+            raise CapacityExceeded(f"a modulus of degree {deg} gives more than {TABLE_SIZE_LIMIT} elements")
         return tuple(terms.get(i, 0) for i in range(deg + 1))
 
 
@@ -303,7 +321,7 @@ def size_estimate(node: RingAst) -> int:
         case Prod(l, r):
             return size_estimate(l) * size_estimate(r)
         case PolyQuot(base, coeffs):
-            return size_estimate(base) ** (len(coeffs) - 1)
+            return size_estimate(base) ** min(len(coeffs) - 1, MAX_EXPONENT + 1)
         case Quot(base, _):
             return size_estimate(base)
         case Idealize(ring, module):
@@ -316,16 +334,17 @@ def _module_size_estimate(node: ModuleAst, ring_size: int) -> int:
         case MSelf():
             return ring_size
         case MFree(k):
-            return ring_size ** k
+            return ring_size ** min(k, MAX_EXPONENT + 1)
         case MQuot(base, _):
             return _module_size_estimate(base, ring_size)
     raise TypeError(f"not a module AST: {node!r}")
 
 
 def build_ring(node: RingAst, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    if size_estimate(node) > cap:
+    limit = min(cap, TABLE_SIZE_LIMIT)
+    if size_estimate(node) > limit:
         raise CapacityExceeded(
-            f"estimated size {size_estimate(node)} exceeds cap {cap}"
+            f"estimated size {size_estimate(node)} exceeds cap {limit}"
         )
     match node:
         case Zn(n):

@@ -237,3 +237,74 @@ def test_cross_check_failure_is_a_theorem_violation(monkeypatch, capsys):
     monkeypatch.setattr(factor, "divisor_graph", lambda R: DivisorGraph([{} for _ in range(R.size)]))
     assert main(["analyze", "Z6"]) == 2
     assert _error_kind(capsys) == "TheoremViolation"
+
+
+# each negative verdict of Z6 carries a witness; a missing or misshaped one must fail its replay
+BAD_WITNESSES = [
+    ("presimplifiable_witness", value, "presimplifiable witness does not replay")
+    for value in [None, {}, [3, 3], {"a": "3", "b": 3}, {"a": 3, "b": None}, {"a": 3.0, "b": 3},
+                  {"a": 99, "b": 3}, {"a": -3, "b": 3}]
+] + [
+    ("bfr_witness", value, "bfr cycle witness does not replay")
+    for value in [None, {}, "2", {"cycle": "2", "labels": [4]}, {"cycle": [2], "labels": 4},
+                  {"cycle": [2.0], "labels": [4]}, {"cycle": [2], "labels": [None]},
+                  {"cycle": [99], "labels": [4]}]
+] + [
+    ("ufr_witness", value, "ufr witness does not replay")
+    for value in [None, {}, {"reason": "not_bfr"}, {"reason": "not_atomic"},
+                  {"reason": "not_atomic", "element": "2"}, {"reason": "non_unique", "element": 2},
+                  {"reason": "non_unique", "element": 2, "multisets": "ab"},
+                  {"reason": "non_unique", "element": 2, "multisets": [["x"]]}, {"reason": 7}]
+] + [
+    ("u_bounded_example", value, "u-bounded example does not replay")
+    for value in [None, {}, "23", [2, "3"], [2, None], [[2], [3]], [2, 99], [2, 3, 1]]
+]
+
+
+@pytest.mark.parametrize("field,value,failure", BAD_WITNESSES)
+def test_recheck_bad_witness_fails_its_replay(tmp_path, capsys, field, value, failure):
+    _, out = run(capsys, "analyze", "Z6")
+    payload = json.loads(out)
+    payload["report"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out = run(capsys, "recheck", str(bad))
+    assert code == 2
+    assert {"spec": "Z6", "failure": failure} in json.loads(out)["report"]["failures"]
+
+
+def test_corpus_error_rows_carry_their_kind(tmp_path, capsys):
+    cfg = tmp_path / "corpus.txt"
+    cfg.write_text("Z6\nZ99999\nquot(Z4,[1])\n")
+    code, out = run(capsys, "corpus", str(cfg))
+    assert code == 0
+    payload = json.loads(out)["report"]
+    kinds = {row["spec"]: row.get("error_kind") for row in payload["rows"]}
+    assert kinds == {"Z6": None, "Z99999": "CapacityExceeded", "quot(Z4,[1])": "InvalidConstruction"}
+    assert payload["summary"]["errors_by_kind"] == {"CapacityExceeded": 1, "InvalidConstruction": 1}
+    assert payload["summary"]["violation_count"] == 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_untyped_failure_stays_in_its_row(tmp_path, capsys, monkeypatch, jobs):
+    from ringlab import cli
+
+    real = cli.analyze_spec
+
+    def failing_on_z8(spec, *, cap):
+        if spec == "Z8":
+            raise ZeroDivisionError("boom")
+        return real(spec, cap=cap)
+
+    monkeypatch.setattr(cli, "analyze_spec", failing_on_z8)
+    cfg = tmp_path / "corpus.txt"
+    cfg.write_text("Z6\nZ8\nZ9\n")
+    code, out = run(capsys, "corpus", str(cfg), "--jobs", jobs)
+    assert code == 2
+    payload = json.loads(out)["report"]
+    rows = {row["spec"]: row for row in payload["rows"]}
+    assert rows["Z6"]["bouvier_class"] == "none" and rows["Z9"]["bouvier_class"] == "local-squarezero"
+    assert rows["Z8"]["error_kind"] == "ZeroDivisionError"
+    assert "ZeroDivisionError: boom" in rows["Z8"]["traceback"]
+    assert payload["summary"]["errors_by_kind"] == {"ZeroDivisionError": 1}
+    assert payload["summary"]["violations"] == [{"spec": "Z8", "violation": "ZeroDivisionError: boom"}]

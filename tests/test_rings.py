@@ -275,7 +275,7 @@ def _carriers():
     Z2, Z3, Z4, Z12 = make_zn(2), make_zn(3), make_zn(4), make_zn(12)
     dual = make_polyquot(Z2, [0, 0, 1])
     Z6 = make_zn(6)
-    out = [pytest.param(make_zn(n), _zn_ops(n), id=f"Z{n}") for n in (2, 6, 9)]
+    out = [pytest.param(make_zn(n), _zn_ops(n), id=f"Z{n}") for n in range(2, 131)]
     out += [
         pytest.param(make_product(Z2, Z3), _product_ops(Z2, Z3), id="Z2 x Z3"),
         pytest.param(make_product(Z4, dual), _product_ops(Z4, dual), id="Z4 x Z2[t]/(t^2)"),
@@ -292,6 +292,23 @@ def _carriers():
     for R, M in [(Z4, make_self_module(Z4)), (Z6, make_self_module(Z6)),
                  (Z2, make_free(Z2, 2)), (Z4, quotient_module(make_self_module(Z4), [2]))]:
         out.append(pytest.param(idealize(R, M), _idealization_ops(R, M), id=f"{R.label}(+){M.label}"))
+    # larger carriers: many blocks per row, long strides, several cosets per class
+    Z5, Z8, Z16, Z24 = make_zn(5), make_zn(8), make_zn(16), make_zn(24)
+    Z16xZ24 = make_product(Z16, Z24)
+    big_ideal = generated_ideal(Z16xZ24, [8 * 24 + 12])
+    out += [
+        pytest.param(make_product(make_product(Z4, Z6), Z12), _product_ops(make_product(Z4, Z6), Z12),
+                     id="Z4 x Z6 x Z12"),
+        pytest.param(make_polyquot(Z4, [1, 1, 0, 0, 1]), _polyquot_ops(4, [1, 1, 0, 0, 1]),
+                     id="Z4[t]/(t^4+t+1)"),
+        pytest.param(make_polyquot(Z5, [2, 0, 3, 1]), _polyquot_ops(5, [2, 0, 3, 1]), id="Z5[t]/(t^3+3t^2+2)"),
+        pytest.param(quotient_ring(Z16xZ24, big_ideal), _coset_ops(Z16xZ24, big_ideal.members),
+                     id="(Z16 x Z24)/((8,12))"),
+        pytest.param(idealize(Z16, make_self_module(Z16)),
+                     _idealization_ops(Z16, make_self_module(Z16)), id="Z16(+)Z16"),
+        pytest.param(idealize(Z8, quotient_module(make_free(Z8, 2), [2])),
+                     _idealization_ops(Z8, quotient_module(make_free(Z8, 2), [2])), id="Z8(+)Z8^2/(2)"),
+    ]
     return out
 
 
@@ -303,7 +320,10 @@ def test_tables_match_definitional_arithmetic(R, ops):
         for b in R.elements():
             assert R.add_table[a][b] == add(a, b), (a, b)
             assert R.mul_table[a][b] == mul(a, b), (a, b)
-    check_ring_axioms(R)
+    # the axiom check is cubic: it runs up to 36 elements, above which the
+    # tables equal the definitional arithmetic, itself a ring
+    if R.size <= 36:
+        check_ring_axioms(R)
 
 
 def _modules():
