@@ -14,8 +14,11 @@ omitted-variable product by any variable lands in a square, the full
 block product, or a cross-block product), so those identifications span
 an honest ideal and elements reduce by plain GF(2) linear elimination.
 
-Elements are frozensets of monomials (GF(2) coefficient supports); a
-monomial is (block, mask) with the constant written (0, 0).
+An element is an int bit-vector of GF(2) coefficients. Monomial
+(i, mask), a product of the variables of block i picked by ``mask``, is
+bit ``offset[i] + mask``; block i owns bits offset[i] .. offset[i] +
+2^(i+1) - 1, and the constant is bit 0, the unused mask-0 slot of
+block 1.
 """
 
 from __future__ import annotations
@@ -24,110 +27,100 @@ from .errors import CapacityExceeded, InvalidQuery
 
 STAGE_CAP = 6
 
-ONE = (0, 0)
-
-Element = frozenset
-
 
 class BlockAlgebra:
     def __init__(self, n: int):
         if not 1 <= n <= STAGE_CAP:
             raise CapacityExceeded(f"stage must be in 1..{STAGE_CAP}, got {n}")
         self.n = n
-        self.monomials: list[tuple[int, int]] = [ONE]
+        self.offset = [0] * (n + 1)
+        for i in range(2, n + 1):
+            self.offset[i] = self.offset[i - 1] + (1 << i)
+        # keep[bit of monomial (i, g)] = (the bits of block i whose monomial times
+        # (i, g) survives, g): those masks m are the nonempty proper submasks of
+        # full ^ g, so m is disjoint from g and m | g is not the full block, and
+        # the product is one masked shift by g (m + g == m | g)
+        self.keep: dict[int, tuple[int, int]] = {}
+        monomials = [1]
         for i in range(1, n + 1):
-            nvars = i + 1
-            for mask in range(1, (1 << nvars) - 1):  # degree 1..i, full product is 0
-                self.monomials.append((i, mask))
-        # identifications sigma_i = sigma_{i+1}, eliminated by pivot monomials
-        self.relations: list[tuple[tuple[int, int], frozenset]] = []
-        for i in range(1, n):
-            rel = self._sigma_support(i) ^ self._sigma_support(i + 1)
-            pivot = max(self._sigma_support(i + 1))
-            self.relations.append((pivot, rel))
-        self.relations.sort(key=lambda pr: -pr[0][0])  # descending block order
+            o, full = self.offset[i], (1 << (i + 1)) - 1
+            for g in range(1, full):
+                c = full ^ g
+                mask, sub = 0, (c - 1) & c
+                while sub:
+                    mask |= 1 << (o + sub)
+                    sub = (sub - 1) & c
+                self.keep[1 << (o + g)] = (mask, g)
+                monomials.append(1 << (o + g))
+        # identifications sigma_i = sigma_{i+1}; each is eliminated by its top bit,
+        # the largest monomial of sigma_{i+1}, in descending block order
+        self.relations = []
+        for i in range(n - 1, 0, -1):
+            rel = self._sigma_bits(i) ^ self._sigma_bits(i + 1)
+            self.relations.append((1 << (rel.bit_length() - 1), rel))
         pivots = {p for p, _ in self.relations}
-        self.basis = [m for m in self.monomials if m not in pivots]
-        self.basis_index = {m: k for k, m in enumerate(self.basis)}
+        self.basis = [m for m in monomials if m not in pivots]
         self.dimension = len(self.basis)
 
-    def _sigma_support(self, i: int) -> frozenset:
-        nvars = i + 1
-        full = (1 << nvars) - 1
-        return frozenset((i, full ^ (1 << j)) for j in range(nvars))
+    def _sigma_bits(self, i: int) -> int:
+        o, full = self.offset[i], (1 << (i + 1)) - 1
+        return sum(1 << (o + (full ^ (1 << j))) for j in range(i + 1))
 
     # -- element constructors ------------------------------------------------
 
-    def zero(self) -> Element:
-        return frozenset()
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Element:
-        return frozenset({ONE})
+    def one(self) -> int:
+        return 1
 
-    def var(self, i: int, j: int) -> Element:
+    def var(self, i: int, j: int) -> int:
         """The image of the j-th variable (1-based) of block i."""
         if not (1 <= i <= self.n and 1 <= j <= i + 1):
             raise InvalidQuery(f"no variable ({i},{j}) at stage {self.n}")
-        return self.reduce(frozenset({(i, 1 << (j - 1))}))
+        return self.reduce(1 << (self.offset[i] + (1 << (j - 1))))
 
-    def sigma(self, i: int) -> Element:
-        return self.reduce(self._sigma_support(i))
+    def sigma(self, i: int) -> int:
+        return self.reduce(self._sigma_bits(i))
 
     # -- arithmetic ----------------------------------------------------------
 
-    def reduce(self, support: frozenset) -> Element:
-        s = set(support)
+    def reduce(self, v: int) -> int:
         for pivot, rel in self.relations:
-            if pivot in s:
-                s ^= rel
-        return frozenset(s)
+            if v & pivot:
+                v ^= rel
+        return v
 
-    def add(self, a: Element, b: Element) -> Element:
-        return a ^ b  # characteristic 2; supports are already reduced
+    def add(self, a: int, b: int) -> int:
+        return a ^ b  # characteristic 2; both are already reduced
 
-    def _mul_monomials(self, m1: tuple[int, int], m2: tuple[int, int]):
-        if m1 == ONE:
-            return m2
-        if m2 == ONE:
-            return m1
-        b1, v1 = m1
-        b2, v2 = m2
-        if b1 != b2 or (v1 & v2):
-            return None  # cross-block or repeated variable
-        v = v1 | v2
-        if v == (1 << (b1 + 1)) - 1:
-            return None  # full block product
-        return (b1, v)
+    def mul(self, a: int, b: int) -> int:
+        """a*b as the sum, over the monomials of b, of one masked shift of a each."""
+        acc = a if b & 1 else 0
+        b &= ~1
+        while b:
+            bit = b & -b
+            b ^= bit
+            mask, g = self.keep[bit]
+            acc ^= (a & mask) << g
+            if a & 1:
+                acc ^= bit
+        return self.reduce(acc)
 
-    def mul(self, a: Element, b: Element) -> Element:
-        acc: set = set()
-        for m1 in a:
-            for m2 in b:
-                m = self._mul_monomials(m1, m2)
-                if m is not None:
-                    acc ^= {m}
-        return self.reduce(frozenset(acc))
+    def is_unit(self, a: int) -> bool:
+        return bool(a & 1)
 
-    def is_unit(self, a: Element) -> bool:
-        return ONE in a
-
-    def inverse(self, a: Element) -> Element:
+    def inverse(self, a: int) -> int:
         """Geometric series; valid since the augmentation ideal is nilpotent."""
         if not self.is_unit(a):
             raise InvalidQuery("not a unit")
-        m = a ^ {ONE}
+        m = a ^ 1
         inv = self.one()
         power = self.one()
         for _ in range(self.n + 2):
             power = self.mul(power, m)
             inv = self.add(inv, power)
         return inv
-
-    def to_bits(self, a: Element) -> int:
-        bits = 0
-        for m in a:
-            bits |= 1 << self.basis_index[m]
-        return bits
 
 
 def make_block_algebra(n: int) -> BlockAlgebra:
@@ -138,42 +131,33 @@ def expected_dimension(n: int) -> int:
     return 1 + sum(2 ** (i + 1) - 2 for i in range(1, n + 1)) - max(n - 1, 0)
 
 
-def _span_gf2(vectors: list[int]) -> list[int]:
-    """Row-reduce int bitmasks over GF(2), dropping zero rows."""
-    basis: list[int] = []
+def _span_gf2(vectors) -> list[int]:
+    """An echelon basis over GF(2) of the span, pivots keyed by leading bit."""
+    basis: dict[int, int] = {}
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
+        while v:
+            lead = v.bit_length()
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = v
+                break
+            v ^= b
+    return list(basis.values())
 
 
 def augmentation_power_dimensions(A: BlockAlgebra, kmax: int) -> list[int]:
-    """Dimensions of m^1, m^2, ..., m^kmax for the augmentation ideal m."""
-    gens = [frozenset({m}) for m in A.basis if m != ONE]
-    gens = [A.reduce(g) for g in gens]
-    current = gens
+    """Dimensions of m^1, m^2, ..., m^kmax for the augmentation ideal m.
+
+    m is generated by the variables and m^k is an ideal, so m^(k+1) = m*m^k
+    is spanned by the variable multiples of a basis of m^k.
+    """
+    variables = [A.var(i, j) for i in range(1, A.n + 1) for j in range(1, i + 2)]
+    span = _span_gf2(m for m in A.basis if m != 1)
     dims = []
     for _ in range(kmax):
-        span = _span_gf2([A.to_bits(v) for v in current])
         dims.append(len(span))
-        if not span:
-            current = []
-            dims.extend([0] * (kmax - len(dims)))
-            break
-        nxt = []
-        seen = set()
-        for g in gens:
-            for v in current:
-                p = A.mul(g, v)
-                bits = A.to_bits(p)
-                if bits and bits not in seen:
-                    seen.add(bits)
-                    nxt.append(p)
-        current = nxt
-    return dims[:kmax]
+        span = _span_gf2(A.mul(v, x) for x in variables for v in span)
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ import json
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 from . import __version__
 from .blockalg import verify_example25
-from .errors import RinglabError
+from .errors import CapacityExceeded, RinglabError
 from .factor import (
     check_lemma_ubounded,
     check_prop_bfr,
@@ -35,7 +34,8 @@ from .idealization import (
     verify_unit_criterion,
 )
 from .reports import REPORT_FIELDS, PropertyReport, analyze_spec, recheck_report
-from .specparse import build_ring, build_module, parse_module_spec, parse_spec, to_text
+from .rings import TABLE_SIZE_LIMIT
+from .specparse import _int, build_ring, build_module, parse_module_spec, parse_spec, to_text
 
 THEOREM_IDS = ("ufr-theorem", "bfr-proposition", "ubounded-lemma", "idealization-structure")
 
@@ -120,7 +120,11 @@ def _parse_corpus_config(text: str) -> list[str]:
             lo, _, hi = parts[-1].partition("..")
             if len(parts) != 3 or parts[1] != "Zn" or not (lo.isdecimal() and hi.isdecimal()):
                 raise RinglabError(f"bad range directive: {line!r}")
-            specs.extend(f"Z{n}" for n in range(int(lo), int(hi) + 1))
+            lo, hi = _int(lo), _int(hi)
+            if hi > TABLE_SIZE_LIMIT:  # checked before any spec string is built
+                raise CapacityExceeded(f"range directive {line!r} goes past Z{TABLE_SIZE_LIMIT}, "
+                                       "the largest Z_n a table holds")
+            specs.extend(f"Z{n}" for n in range(lo, hi + 1))
         else:
             specs.append(line)
     # canonicalize and order rows deterministically
@@ -146,6 +150,8 @@ def cmd_corpus(args) -> int:
     specs = _parse_corpus_config(_read(args.config))
     jobs = [(s, args.max_ring_size) for s in specs]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_corpus_row, jobs))
     else:

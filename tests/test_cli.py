@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -205,6 +206,31 @@ def test_corpus_bad_range_bound(tmp_path, capsys, line):
     cfg.write_text(line + "\n")
     assert main(["corpus", str(cfg)]) == 1
     assert _error_kind(capsys) == "RinglabError"
+
+
+@pytest.mark.parametrize("line,code,kind", [
+    ("range Zn 2..200000", 3, "CapacityExceeded"),
+    ("range Zn 65530..65537", 3, "CapacityExceeded"),
+    ("range Zn 2.." + "9" * 5000, 1, "ParseError"),  # more digits than int() converts
+])
+def test_corpus_range_past_the_table_limit_is_rejected_at_once(tmp_path, capsys, line, code, kind):
+    cfg = tmp_path / "corpus.txt"
+    cfg.write_text("Z6\n" + line + "\n")
+    t0 = time.perf_counter()
+    assert main(["corpus", str(cfg)]) == code
+    assert time.perf_counter() - t0 < 0.5  # no spec string was built for the line
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == kind
+    if code == 3:
+        assert line in err["error"]
+
+
+def test_corpus_small_range_unchanged(tmp_path, capsys):
+    cfg = tmp_path / "corpus.txt"
+    cfg.write_text("range Zn 4..6\nrange Zn 9..8\n")
+    code, out = run(capsys, "corpus", str(cfg))
+    assert code == 0
+    assert [r["spec"] for r in json.loads(out)["report"]["rows"]] == ["Z4", "Z5", "Z6"]
 
 
 def test_corpus_block_line_fails_the_config(tmp_path, capsys):

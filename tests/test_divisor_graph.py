@@ -87,8 +87,9 @@ def test_module_graph_and_bfm_match_networkx(ring_spec, module_spec):
     assert json.dumps(is_bfm(M)) == json.dumps(nx_is_bfm(nx, M))
 
 
-def test_cli_import_leaves_networkx_out():
-    code = "import sys, ringlab.cli; print('networkx' in sys.modules)"
+@pytest.mark.parametrize("module", ["networkx", "multiprocessing", "concurrent.futures.process"])
+def test_cli_import_leaves_networkx_out(module):
+    code = f"import sys, ringlab.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": ":".join(sys.path)})
     assert out.stdout.strip() == "False"
