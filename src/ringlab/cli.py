@@ -34,7 +34,7 @@ from .idealization import (
     verify_unit_criterion,
 )
 from .reports import REPORT_FIELDS, PropertyReport, analyze_spec, recheck_report
-from .rings import TABLE_SIZE_LIMIT
+from .rings import DEFAULT_SIZE_CAP, TABLE_SIZE_LIMIT
 from .specparse import _int, build_ring, build_module, parse_module_spec, parse_spec, to_text
 
 THEOREM_IDS = ("ufr-theorem", "bfr-proposition", "ubounded-lemma", "idealization-structure")
@@ -245,7 +245,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     com = argparse.ArgumentParser(add_help=False)
-    com.add_argument("--max-ring-size", type=int, default=4096)
+    com.add_argument("--max-ring-size", type=int, default=DEFAULT_SIZE_CAP)
 
     p = sub.add_parser("analyze", parents=[com])
     p.add_argument("spec")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapacityExceeded, InvalidQuery, TheoremViolation, UnboundedElement
 from .idealization import idealize
-from .modules import DivisorGraph, FiniteModule, divisor_graph_over, is_bfm, is_semisimple, search
+from .modules import DivisorGraph, FiniteModule, divisor_graph_over, is_accc, is_bfm, is_semisimple, search
 from .rings import (
     FiniteRing,
     associate_class_rep,
@@ -172,13 +172,9 @@ def bf_lengths_oracle(R: FiniteRing, *, cap: int | None = None) -> dict[int, int
     """
     depth_cap = cap if cap is not None else R.size + 1
     nus = sorted(nonunits(R))
-    targets = {a for a in range(1, R.size) if a in set(nus)}
-    reach: dict[int, int] = {a: 0 for a in targets}
-    layer = set(nus) - {R.zero}
+    layer = nonunits(R) - {R.zero}
+    reach: dict[int, int] = dict.fromkeys(layer, 1)
     k = 1
-    for a in layer:
-        if a in reach:
-            reach[a] = 1
     while layer and k < depth_cap:
         k += 1
         layer = {a for s in nus for a in map(R.mul_table[s].__getitem__, layer)} - {R.zero}
@@ -441,8 +437,6 @@ def check_lemma_ubounded(R: FiniteRing) -> UboundedLemmaReport:
 
 def check_theorem_accp(R: FiniteRing, M: FiniteModule) -> dict:
     """ACCP(R(+)M) <=> ACCP(R) and ACCC(M); vacuously true at finite scale."""
-    from .modules import is_accc
-
     T = idealize(R, M)
     accp_T, height_T = is_accp(T)
     accp_R, height_R = is_accp(R)

@@ -12,7 +12,7 @@ import operator
 from array import array
 
 from .errors import ScalarMismatch
-from .modules import FiniteModule, all_submodules, submodule_generated
+from .modules import FiniteModule, all_submodules
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
@@ -24,8 +24,10 @@ from .rings import (
     is_ideal,
     is_prime_ideal,
     is_unit,
+    multiples,
     pair_table,
     pair_vector,
+    subgroup_span,
     units,
 )
 
@@ -75,11 +77,11 @@ def verify_unit_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     return True, {}
 
 
-def _shape_members(R: FiniteRing, M: FiniteModule, I: frozenset, N: frozenset) -> frozenset:
+def _shape_members(M: FiniteModule, I: frozenset, N: frozenset) -> frozenset:
     return frozenset(r * M.size + x for r in I for x in N)
 
 
-def _acts_into(R: FiniteRing, M: FiniteModule, I: frozenset, N: frozenset) -> bool:
+def _acts_into(M: FiniteModule, I: frozenset, N: frozenset) -> bool:
     return all(N.issuperset(M.act_table[r]) for r in I)
 
 
@@ -95,7 +97,7 @@ def _homogeneous_ideals(
     out = []
     for I in all_ideals(R):
         for N in all_submodules(M):
-            if _acts_into(R, M, I.members, N):
+            if _acts_into(M, I.members, N):
                 out.append((I.members, N))
     return out
 
@@ -106,8 +108,8 @@ def verify_ideal_shape(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     homogeneous = set()
     for I in all_ideals(R):
         for N in all_submodules(M):
-            shaped = _shape_members(R, M, I.members, N)
-            expected = _acts_into(R, M, I.members, N)
+            shaped = _shape_members(M, I.members, N)
+            expected = _acts_into(M, I.members, N)
             if is_ideal(T, shaped) != expected:
                 return False, {
                     "I": sorted(I.members), "N": sorted(N),
@@ -123,7 +125,7 @@ def verify_ideal_shape(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     return True, {"homogeneous": len(homogeneous), "total_ideals": len(lattice)}
 
 
-def _decompose(T: FiniteRing, M: FiniteModule, J: frozenset) -> tuple[frozenset, frozenset]:
+def _decompose(M: FiniteModule, J: frozenset) -> tuple[frozenset, frozenset]:
     I = frozenset(divmod(a, M.size)[0] for a in J)
     N = frozenset(divmod(a, M.size)[1] for a in J)
     return I, N
@@ -137,10 +139,10 @@ def verify_prime_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     """
     T = idealize(R, M)
     for J in all_ideals(T):
-        I, _ = _decompose(T, M, J.members)
+        I, _ = _decompose(M, J.members)
         lhs = is_prime_ideal(T, J)
         rhs = (
-            J.members == _shape_members(R, M, I, frozenset(M.elements()))
+            J.members == _shape_members(M, I, frozenset(M.elements()))
             and is_prime_ideal(R, Ideal(R, I))
         )
         if lhs != rhs:
@@ -150,19 +152,19 @@ def verify_prime_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
 
 
 def verify_ideal_product(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
-    """(I1 x N1)(I2 x N2) = (I1 I2) x (I1 N2 + I2 N1) on product-form ideals."""
+    """(I1 x N1)(I2 x N2) = (I1 I2) x (I1 N2 + I2 N1) on product-form ideals.
+
+    Every ordered pair is checked, so T's table is read at both (a, b) and (b, a).
+    """
     T = idealize(R, M)
-    homogeneous = _homogeneous_ideals(R, M)
-    for I1, N1 in homogeneous:
-        J1 = Ideal(T, _shape_members(R, M, I1, N1))
-        for I2, N2 in homogeneous:
-            J2 = Ideal(T, _shape_members(R, M, I2, N2))
+    shaped = [(I, N, Ideal(T, _shape_members(M, I, N))) for I, N in _homogeneous_ideals(R, M)]
+    for I1, N1, J1 in shaped:
+        for I2, N2, J2 in shaped:
             lhs = ideal_product(T, J1, J2).members
             I12 = ideal_product(R, Ideal(R, I1), Ideal(R, I2)).members
-            acted = {M.act(r, x) for r in I1 for x in N2}
-            acted |= {M.act(r, x) for r in I2 for x in N1}
-            N12 = submodule_generated(M, acted)
-            rhs = _shape_members(R, M, I12, N12)
+            # I1 N2 + I2 N1 is the sum of the submodules r N2 (r in I1) and r N1 (r in I2)
+            acted = multiples(M.act_table, I1, N2) | multiples(M.act_table, I2, N1)
+            rhs = _shape_members(M, I12, subgroup_span(M.add_table, acted))
             if lhs != rhs:
                 return False, {"J1": J1.sorted(), "J2": J2.sorted(),
                                "lhs": sorted(lhs), "rhs": sorted(rhs)}

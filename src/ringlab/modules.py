@@ -19,7 +19,6 @@ from .rings import (
     Ideal,
     chain_height,
     check_size,
-    close_under_addition,
     coset_classes,
     digitwise,
     gather,
@@ -28,6 +27,7 @@ from .rings import (
     nonunits,
     power_table,
     quotient_table,
+    subgroup_span,
 )
 
 
@@ -88,10 +88,7 @@ def make_free(R: FiniteRing, k: int, *, cap: int = DEFAULT_SIZE_CAP) -> FiniteMo
 
 
 def submodule_generated(M: FiniteModule, gens: Iterable[int]) -> frozenset:
-    members = set()
-    for g in gens:
-        members |= cyclic_submodule(M, g)
-    return close_under_addition(M.add_table, members)
+    return subgroup_span(M.add_table, (cyclic_submodule(M, g) for g in gens))
 
 
 def cyclic_submodule(M: FiniteModule, x: int) -> frozenset:
@@ -144,8 +141,7 @@ def is_semisimple_oracle(M: FiniteModule, *, cap: int = 4096) -> bool:
             continue
         if all(cyclic_submodule(M, y) == N for y in N if y != M.zero):
             simples.append(N)
-    total = close_under_addition(M.add_table, set().union(*simples))
-    return len(total) == M.size
+    return len(subgroup_span(M.add_table, simples)) == M.size
 
 
 # ---------------------------------------------------------------------------

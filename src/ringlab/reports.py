@@ -21,6 +21,7 @@ from .factor import (
     u_boundedness_of_zero,
 )
 from .rings import (
+    DEFAULT_SIZE_CAP,
     FiniteRing,
     is_field,
     is_local,
@@ -117,7 +118,7 @@ def analyze_ring(R: FiniteRing, spec_text: str) -> PropertyReport:
     )
 
 
-def analyze_spec(text: str, *, cap: int = 4096) -> tuple[dict, float]:
+def analyze_spec(text: str, *, cap: int = DEFAULT_SIZE_CAP) -> tuple[dict, float]:
     ast = parse_spec(text)
     canonical = to_text(ast)
     R = build_ring(ast, cap=cap)
@@ -201,7 +202,7 @@ def _replay_ufr_witness(R: FiniteRing, w) -> bool:
     return False
 
 
-def recheck_report(report: dict, *, cap: int = 4096) -> list[str]:
+def recheck_report(report: dict, *, cap: int = DEFAULT_SIZE_CAP) -> list[str]:
     """Rebuild the ring from the report's spec and re-validate witnesses.
 
     Returns a list of failure descriptions (empty means everything replays).

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress
 from math import gcd
 from operator import getitem, itemgetter, not_
@@ -160,19 +160,6 @@ def quotient_table(rows: Iterable[array], cls: dict[int, int], reps: list[int]) 
     return [array("H", gather(get(row))(cls)) for row in rows]
 
 
-def close_under_addition(add_table: list[array], seed: Iterable[int]) -> frozenset:
-    """The additive subgroup generated by seed (finite, so sums suffice)."""
-    gens = list(set(seed) | {0})
-    members = {0}
-    frontier = [0]
-    while frontier:
-        row = add_table[frontier.pop()]
-        new = set(map(row.__getitem__, gens)) - members
-        members |= new
-        frontier.extend(new)
-    return frozenset(members)
-
-
 def subgroup_sum(add_table: list[array], A: frozenset, B: frozenset) -> frozenset:
     """A + B as the union of the cosets b + A over b in B, each coset taken once."""
     if A <= B:
@@ -187,6 +174,21 @@ def subgroup_sum(add_table: list[array], A: frozenset, B: frozenset) -> frozense
         if b not in out:
             out.update(get(add_table[b]))
     return frozenset(out)
+
+
+def subgroup_span(add_table: list[array], subgroups: Iterable[frozenset]) -> frozenset:
+    """The sum of the given subgroups, folded with subgroup_sum from {0}.
+
+    Every input must be a subgroup, as aJ, rN, aR and Rx are: subgroup_sum
+    adds whole cosets of one summand, which covers A + B only then.
+    """
+    return reduce(partial(subgroup_sum, add_table), subgroups, frozenset({0}))
+
+
+def multiples(rows: list[array], A: Iterable[int], B: Iterable[int]) -> set[frozenset]:
+    """The distinct sets aB = {rows[a][b] : b in B} for a in A, each read with one gather."""
+    get = gather(list(B))
+    return {frozenset(get(rows[a])) for a in A}
 
 
 def chain_height(family: Iterable[frozenset]) -> int:
@@ -358,10 +360,7 @@ def associate_class_rep(R: FiniteRing) -> list[int]:
 
 
 def generated_ideal(R: FiniteRing, gens: Iterable[int]) -> Ideal:
-    seed = set()
-    for g in gens:
-        seed |= principal_ideal(R, g).members
-    return Ideal(R, close_under_addition(R.add_table, seed))
+    return Ideal(R, subgroup_span(R.add_table, (principal_ideal(R, g).members for g in gens)))
 
 
 def ideal_sum(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
@@ -369,11 +368,8 @@ def ideal_sum(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_product(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
-    mt = R.mul_table
-    prods: set = set()
-    for a in I.members:
-        prods.update(map(mt[a].__getitem__, J.members))
-    return Ideal(R, close_under_addition(R.add_table, prods))
+    """IJ as the sum of the ideals aJ, a in I."""
+    return Ideal(R, subgroup_span(R.add_table, multiples(R.mul_table, I.members, J.members)))
 
 
 def all_ideals(R: FiniteRing) -> list[Ideal]:

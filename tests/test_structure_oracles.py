@@ -2,17 +2,22 @@
 
 Each reference is the earlier entry-by-entry form: the lattice closed under
 sums of every pair of members, primality tested on every pair of elements
-outside the ideal, and nilpotency found by multiplying by a up to |R| times.
-The package's kernels (one generator added at a time, cosets taken once,
-coset representatives, repeated squaring) must give the same sets.
+outside the ideal, nilpotency found by multiplying by a up to |R| times, and
+generated subgroups closed element by element under addition. The package's
+kernels (one generator added at a time, cosets taken once, coset
+representatives, repeated squaring, sums of subgroups) must give the same sets.
 """
+
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from ringlab.modules import all_submodules
+from ringlab.modules import all_submodules, submodule_generated
 from ringlab.rings import (
     Ideal,
     all_ideals,
+    generated_ideal,
+    ideal_product,
     is_prime_ideal,
     maximal_ideals,
     min_primes,
@@ -29,6 +34,19 @@ def reference_sum(add_table, A, B):
     for a in A:
         out.update(add_table[a][b] for b in B)
     return frozenset(out)
+
+
+def reference_closure(add_table, seed):
+    """The additive subgroup generated by seed, by breadth-first search over sums."""
+    gens = list(set(seed) | {0})
+    members = {0}
+    frontier = [0]
+    while frontier:
+        row = add_table[frontier.pop()]
+        new = set(map(row.__getitem__, gens)) - members
+        members |= new
+        frontier.extend(new)
+    return frozenset(members)
 
 
 def reference_lattice(add_table, cyclic):
@@ -94,3 +112,36 @@ def test_subgroup_sum_matches_reference(spec):
     for A in lattice:
         for B in lattice:
             assert subgroup_sum(R.add_table, A, B) == reference_sum(R.add_table, A, B)
+
+
+SMALL_RING_SPECS = [spec for spec in RING_SPECS if ring(spec).size <= 64]
+# Z2[t,s]/(t,s)^3: m*m holds t^2 + ts + s^2, which is no product of two elements,
+# so IJ is larger than the union of the sets aJ
+NOT_UNION_OF_PRODUCTS = "quot(Z2[t]/(t^3)[t]/(t^3),[32,128])"
+
+
+@pytest.mark.parametrize("spec", SMALL_RING_SPECS)
+def test_generated_ideal_matches_reference(spec):
+    R = ring(spec)
+    # <a, b> depends on b only through bR, so b runs over one generator of each principal ideal
+    for a, b in product(R.elements(), sorted(principal_ideals(R).values())):
+        seed = {R.mul(r, g) for r in R.elements() for g in (a, b)}
+        assert generated_ideal(R, [a, b]).members == reference_closure(R.add_table, seed), (a, b)
+
+
+@pytest.mark.parametrize("spec", RING_SPECS + [NOT_UNION_OF_PRODUCTS])
+def test_ideal_product_matches_reference(spec):
+    R = ring(spec)
+    lattice = all_ideals(R)
+    for I in lattice:
+        for J in lattice:
+            seed = {R.mul(a, b) for a in I.members for b in J.members}
+            assert ideal_product(R, I, J).members == reference_closure(R.add_table, seed)
+
+
+@pytest.mark.parametrize("ring_spec,module_spec", PAIR_SPECS)
+def test_submodule_generated_matches_reference(ring_spec, module_spec):
+    R, M = pair(ring_spec, module_spec)
+    for x, y in combinations_with_replacement(M.elements(), 2):
+        seed = {M.act(r, g) for r in R.elements() for g in (x, y)}
+        assert submodule_generated(M, [x, y]) == reference_closure(M.add_table, seed), (x, y)
