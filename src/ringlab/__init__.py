@@ -2,14 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .rings import FiniteRing, Ideal, make_polyquot, make_product, make_zn, quotient_ring
+from .rings import FiniteRing, make_polyquot, make_product, make_zn, quotient_ring
 from .modules import FiniteModule, make_free, make_self_module, quotient_module
 from .idealization import idealize
 
 __all__ = [
     "FiniteRing",
     "FiniteModule",
-    "Ideal",
     "idealize",
     "make_free",
     "make_polyquot",

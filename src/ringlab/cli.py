@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -28,6 +29,7 @@ from .factor import (
     check_theorem_ufr,
 )
 from .idealization import (
+    idealize,
     verify_ideal_product,
     verify_ideal_shape,
     verify_prime_criterion,
@@ -69,6 +71,8 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     R, M = _build_pair(args.ring, args.module, args.max_ring_size)
+    if M is not None and args.theorem_id != "ubounded-lemma":
+        idealize(R, M, cap=args.max_ring_size)  # the checkers reuse this R(+)M
     detail: dict
     if args.theorem_id == "ufr-theorem":
         if M is None:
@@ -239,6 +243,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise RinglabError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="ringlab")
     ap.add_argument("--version", action="version", version=__version__)

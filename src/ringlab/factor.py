@@ -164,13 +164,13 @@ def is_bfr(R: FiniteRing) -> tuple[bool, dict]:
     return R._cache["bfr"]
 
 
-def bf_lengths_oracle(R: FiniteRing, *, cap: int | None = None) -> dict[int, int | None]:
+def bf_lengths_oracle(R: FiniteRing) -> dict[int, int | None]:
     """Independent brute force: layered products of exactly k nonunits.
 
     Depth cap |R|+1 is complete by pigeonhole on suffix products. Returns
     the max length per nonzero nonunit, None for unbounded.
     """
-    depth_cap = cap if cap is not None else R.size + 1
+    depth_cap = R.size + 1
     nus = sorted(nonunits(R))
     layer = nonunits(R) - {R.zero}
     reach: dict[int, int] = dict.fromkeys(layer, 1)
@@ -342,7 +342,7 @@ def bouvier_class(R: FiniteRing) -> str:
         return "field-UFD"
     if is_local(R):
         m = maximal_ideal(R)
-        if ideal_product(R, m, m).members == frozenset({R.zero}):
+        if ideal_product(R, m, m) == {R.zero}:
             return "local-squarezero"
     if is_spir(R):
         return "SPIR"
@@ -378,9 +378,9 @@ def check_theorem_ufr(R: FiniteRing, M: FiniteModule) -> UfrTheoremReport:
     c2 = c3 = False
     if is_local(R):
         m = maximal_ideal(R)
-        m2_zero = ideal_product(R, m, m).members == frozenset({R.zero})
+        m2_zero = ideal_product(R, m, m) == {R.zero}
         if m2_zero:
-            c2 = all(M.act_table[r].count(M.zero) == M.size for r in m.members)
+            c2 = all(M.act_table[r].count(M.zero) == M.size for r in m)
             c3 = is_semisimple(M)
 
     pres, _ = is_presimplifiable(T)

@@ -16,7 +16,6 @@ from .modules import FiniteModule, all_submodules
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
-    Ideal,
     all_ideals,
     check_size,
     gather,
@@ -41,9 +40,9 @@ def idealize(R: FiniteRing, M: FiniteModule, *, cap: int = DEFAULT_SIZE_CAP) -> 
     """
     if M.ring is not R:
         raise ScalarMismatch(f"module {M.label} is not over {R.label}")
-    check_size(R.size * M.size, "idealization", cap)
-    if "idealization" in M._cache:
+    if "idealization" in M._cache:  # built under some cap already; callers reuse it
         return M._cache["idealization"]
+    check_size(R.size * M.size, "idealization", cap)
     nm = M.size
     add = pair_table(R.add_table, M.add_table)
     columns = list(zip(*M.act_table))  # columns[x][s] = s*x
@@ -97,8 +96,8 @@ def _homogeneous_ideals(
     out = []
     for I in all_ideals(R):
         for N in all_submodules(M):
-            if _acts_into(M, I.members, N):
-                out.append((I.members, N))
+            if _acts_into(M, I, N):
+                out.append((I, N))
     return out
 
 
@@ -108,16 +107,16 @@ def verify_ideal_shape(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     homogeneous = set()
     for I in all_ideals(R):
         for N in all_submodules(M):
-            shaped = _shape_members(M, I.members, N)
-            expected = _acts_into(M, I.members, N)
+            shaped = _shape_members(M, I, N)
+            expected = _acts_into(M, I, N)
             if is_ideal(T, shaped) != expected:
                 return False, {
-                    "I": sorted(I.members), "N": sorted(N),
+                    "I": sorted(I), "N": sorted(N),
                     "IM_in_N": expected,
                 }
             if expected:
                 homogeneous.add(shaped)
-    lattice = {J.members for J in all_ideals(T)}
+    lattice = set(all_ideals(T))
     if homogeneous - lattice:
         bad = min(homogeneous - lattice, key=sorted)
         return False, {"reason": "product ideal missing from lattice",
@@ -139,14 +138,14 @@ def verify_prime_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     """
     T = idealize(R, M)
     for J in all_ideals(T):
-        I, _ = _decompose(M, J.members)
+        I, _ = _decompose(M, J)
         lhs = is_prime_ideal(T, J)
         rhs = (
-            J.members == _shape_members(M, I, frozenset(M.elements()))
-            and is_prime_ideal(R, Ideal(R, I))
+            J == _shape_members(M, I, frozenset(M.elements()))
+            and is_prime_ideal(R, I)
         )
         if lhs != rhs:
-            return False, {"ideal": J.sorted(), "prime_in_T": lhs,
+            return False, {"ideal": sorted(J), "prime_in_T": lhs,
                            "IxM_with_I_prime": rhs}
     return True, {}
 
@@ -157,15 +156,15 @@ def verify_ideal_product(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     Every ordered pair is checked, so T's table is read at both (a, b) and (b, a).
     """
     T = idealize(R, M)
-    shaped = [(I, N, Ideal(T, _shape_members(M, I, N))) for I, N in _homogeneous_ideals(R, M)]
+    shaped = [(I, N, _shape_members(M, I, N)) for I, N in _homogeneous_ideals(R, M)]
     for I1, N1, J1 in shaped:
         for I2, N2, J2 in shaped:
-            lhs = ideal_product(T, J1, J2).members
-            I12 = ideal_product(R, Ideal(R, I1), Ideal(R, I2)).members
+            lhs = ideal_product(T, J1, J2)
+            I12 = ideal_product(R, I1, I2)
             # I1 N2 + I2 N1 is the sum of the submodules r N2 (r in I1) and r N1 (r in I2)
             acted = multiples(M.act_table, I1, N2) | multiples(M.act_table, I2, N1)
             rhs = _shape_members(M, I12, subgroup_span(M.add_table, acted))
             if lhs != rhs:
-                return False, {"J1": J1.sorted(), "J2": J2.sorted(),
+                return False, {"J1": sorted(J1), "J2": sorted(J2),
                                "lhs": sorted(lhs), "rhs": sorted(rhs)}
     return True, {}

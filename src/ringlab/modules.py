@@ -14,9 +14,7 @@ from typing import Iterable
 from .errors import CapacityExceeded, InvalidConstruction
 from .rings import (
     DEFAULT_SIZE_CAP,
-    IDEAL_COUNT_CAP,
     FiniteRing,
-    Ideal,
     chain_height,
     check_size,
     coset_classes,
@@ -96,8 +94,8 @@ def cyclic_submodule(M: FiniteModule, x: int) -> frozenset:
     return frozenset(row[x] for row in M.act_table)
 
 
-def annihilator_of(M: FiniteModule, x: int) -> Ideal:
-    return Ideal(M.ring, frozenset(r for r, row in enumerate(M.act_table) if row[x] == M.zero))
+def annihilator_of(M: FiniteModule, x: int) -> frozenset:
+    return frozenset(r for r, row in enumerate(M.act_table) if row[x] == M.zero)
 
 
 def quotient_module(M: FiniteModule, gens: Iterable[int]) -> FiniteModule:
@@ -114,9 +112,8 @@ def quotient_module(M: FiniteModule, gens: Iterable[int]) -> FiniteModule:
 
 def all_submodules(M: FiniteModule) -> list[frozenset]:
     if "all_submodules" not in M._cache:
-        cyclic = set(map(frozenset, zip(*M.act_table)))  # column x is Rx
-        seen = lattice_by_sums(M.add_table, cyclic, cap=IDEAL_COUNT_CAP, label=M.label)
-        M._cache["all_submodules"] = sorted(seen, key=lambda m: (len(m), sorted(m)))
+        cyclic = map(frozenset, zip(*M.act_table))  # column x is Rx
+        M._cache["all_submodules"] = lattice_by_sums(M.add_table, cyclic, M.label)
     return M._cache["all_submodules"]
 
 
@@ -126,13 +123,12 @@ def all_submodules(M: FiniteModule) -> list[frozenset]:
 
 def is_semisimple(M: FiniteModule) -> bool:
     """J(R)M = 0 criterion (R/J(R) is a finite product of fields)."""
-    J = jacobson_radical(M.ring)
-    return all(M.act_table[r].count(M.zero) == M.size for r in J.members)
+    return all(M.act_table[r].count(M.zero) == M.size for r in jacobson_radical(M.ring))
 
 
-def is_semisimple_oracle(M: FiniteModule, *, cap: int = 4096) -> bool:
-    """Definitional check: the simple submodules sum to M."""
-    if M.ring.size * M.size > cap:
+def is_semisimple_oracle(M: FiniteModule) -> bool:
+    """Definitional check, for |R||M| <= 4096: the simple submodules sum to M."""
+    if M.ring.size * M.size > 4096:
         raise CapacityExceeded("semisimple oracle capped")
     simples = []
     for x in M.elements():
@@ -245,12 +241,12 @@ def is_bfm(M: FiniteModule) -> tuple[bool, dict]:
     return True, {"bounds": {x: height[x] for x in range(1, M.size)}}
 
 
-def bfm_bounds_oracle(M: FiniteModule, *, cap: int = 1024) -> dict:
-    """Depth-capped brute force; complete by pigeonhole on suffix values.
+def bfm_bounds_oracle(M: FiniteModule) -> dict:
+    """Depth-capped brute force, for |R||M| <= 1024; complete by pigeonhole on suffix values.
 
     Returns per nonzero element the max chain length, None for unbounded.
     """
-    if M.ring.size * M.size > cap:
+    if M.ring.size * M.size > 1024:
         raise CapacityExceeded("bfm oracle capped")
     rows = [M.act_table[r] for r in sorted(nonunits(M.ring))]
     depth_cap = M.size + 1
@@ -265,8 +261,9 @@ def bfm_bounds_oracle(M: FiniteModule, *, cap: int = 1024) -> dict:
     return {x: (None if v >= depth_cap else v) for x, v in reach.items()}
 
 
-def check_module_axioms(M: FiniteModule, *, cap: int = 4096) -> None:
-    if M.ring.size * M.size > cap:
+def check_module_axioms(M: FiniteModule) -> None:
+    """Exhaustive module axiom check, for |R||M| <= 4096; raises on failure."""
+    if M.ring.size * M.size > 4096:
         raise CapacityExceeded("module axiom check capped")
     R = M.ring
     for x in M.elements():

@@ -8,7 +8,7 @@ text (see ``recheck_report``).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .factor import (
@@ -33,14 +33,6 @@ from .rings import (
     units,
 )
 from .specparse import build_ring, parse_spec, to_text
-
-REPORT_FIELDS = [
-    "spec", "size", "unit_count", "reduced", "local", "spir", "field",
-    "presimplifiable", "accp", "accp_height", "bfr", "atomic", "ufr_direct",
-    "ufr_bouvier", "bouvier_class", "u_bounded_max_len", "min_prime_count",
-    "version",
-]
-
 
 @dataclass
 class PropertyReport:
@@ -82,6 +74,10 @@ class PropertyReport:
         if self.size <= 512 and self.ufr_direct != self.ufr_bouvier:
             out.append("ufr_direct disagrees with Bouvier classification")
         return out
+
+
+# the CSV columns: every report field except the witnesses and examples
+REPORT_FIELDS = [f.name for f in fields(PropertyReport) if not f.name.endswith(("_witness", "_example"))]
 
 
 def analyze_ring(R: FiniteRing, spec_text: str) -> PropertyReport:

@@ -21,7 +21,6 @@ ideal lattices, ...) is memoized on the ring.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress
 from math import gcd
@@ -87,15 +86,6 @@ class FiniteRing:
 
     def __repr__(self):
         return f"FiniteRing({self.label}, size={self.size})"
-
-
-@dataclass(frozen=True)
-class Ideal:
-    ring: FiniteRing
-    members: frozenset
-
-    def sorted(self) -> list[int]:
-        return sorted(self.members)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +190,9 @@ def chain_height(family: Iterable[frozenset]) -> int:
     return max(height, default=0)
 
 
-def lattice_by_sums(add_table: list[array], cyclic: Iterable[frozenset], *, cap: int, label: str) -> set:
-    """All sums of the cyclic subgroups given (ideals from principal ideals, submodules).
+def lattice_by_sums(add_table: list[array], cyclic: Iterable[frozenset], label: str) -> list[frozenset]:
+    """All sums of the cyclic subgroups given (ideals from principal ideals, submodules),
+    smallest first, ties broken by the sorted members.
 
     Each member is a sum of generators, so adding one generator at a time reaches them all.
     """
@@ -213,11 +204,11 @@ def lattice_by_sums(add_table: list[array], cyclic: Iterable[frozenset], *, cap:
         for g in gens:
             s = subgroup_sum(add_table, cur, g)
             if s not in seen:
-                if len(seen) >= cap:
-                    raise CapacityExceeded(f"lattice size exceeded cap {cap} on {label}")
+                if len(seen) >= IDEAL_COUNT_CAP:
+                    raise CapacityExceeded(f"lattice size exceeded cap {IDEAL_COUNT_CAP} on {label}")
                 seen.add(s)
                 worklist.append(s)
-    return seen
+    return sorted(seen, key=lambda m: (len(m), sorted(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +296,8 @@ def is_ideal(R: FiniteRing, members: frozenset) -> bool:
     )
 
 
-def quotient_ring(R: FiniteRing, I: Ideal | frozenset) -> FiniteRing:
-    members = I.members if isinstance(I, Ideal) else frozenset(I)
+def quotient_ring(R: FiniteRing, I: Iterable[int]) -> FiniteRing:
+    members = frozenset(I)
     if not is_ideal(R, members):
         raise InvalidIdeal(f"{sorted(members)} is not an ideal of {R.label}")
     cls, reps = coset_classes(R.add_table, members)
@@ -339,9 +330,9 @@ def nonunits(R: FiniteRing) -> frozenset:
     return frozenset(R.elements()) - units(R)
 
 
-def principal_ideal(R: FiniteRing, a: int) -> Ideal:
+def principal_ideal(R: FiniteRing, a: int) -> frozenset:
     # in a commutative unital ring, <a> = {ra : r in R}
-    return Ideal(R, frozenset(R.mul_table[a]))
+    return frozenset(R.mul_table[a])
 
 
 def principal_ideals(R: FiniteRing) -> dict[frozenset, int]:
@@ -359,91 +350,81 @@ def associate_class_rep(R: FiniteRing) -> list[int]:
     return R._cache["associate_rep"]
 
 
-def generated_ideal(R: FiniteRing, gens: Iterable[int]) -> Ideal:
-    return Ideal(R, subgroup_span(R.add_table, (principal_ideal(R, g).members for g in gens)))
+def generated_ideal(R: FiniteRing, gens: Iterable[int]) -> frozenset:
+    return subgroup_span(R.add_table, (principal_ideal(R, g) for g in gens))
 
 
-def ideal_sum(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
-    return Ideal(R, subgroup_sum(R.add_table, I.members, J.members))
+def ideal_sum(R: FiniteRing, I: frozenset, J: frozenset) -> frozenset:
+    return subgroup_sum(R.add_table, I, J)
 
 
-def ideal_product(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
+def ideal_product(R: FiniteRing, I: frozenset, J: frozenset) -> frozenset:
     """IJ as the sum of the ideals aJ, a in I."""
-    return Ideal(R, subgroup_span(R.add_table, multiples(R.mul_table, I.members, J.members)))
+    return subgroup_span(R.add_table, multiples(R.mul_table, I, J))
 
 
-def all_ideals(R: FiniteRing) -> list[Ideal]:
+def all_ideals(R: FiniteRing) -> list[frozenset]:
     """The full ideal lattice, by closing principal ideals under sums."""
     if "all_ideals" not in R._cache:
-        seen = lattice_by_sums(R.add_table, principal_ideals(R), cap=IDEAL_COUNT_CAP, label=R.label)
-        R._cache["all_ideals"] = sorted(
-            (Ideal(R, m) for m in seen), key=lambda I: (len(I.members), I.sorted())
-        )
+        R._cache["all_ideals"] = lattice_by_sums(R.add_table, principal_ideals(R), R.label)
     return R._cache["all_ideals"]
 
 
-def is_prime_ideal(R: FiniteRing, I: Ideal) -> bool:
+def is_prime_ideal(R: FiniteRing, I: frozenset) -> bool:
     """No product of two elements outside I falls in I; whether ab is in I depends
     only on a + I and b + I, so one representative of each nonzero class is tested."""
-    mem = I.members
-    if len(mem) == R.size:
+    if len(I) == R.size:
         return False
-    outside = coset_classes(R.add_table, mem)[1][1:]  # class 0 is I itself
+    outside = coset_classes(R.add_table, I)[1][1:]  # class 0 is I itself
     get, mt = gather(outside), R.mul_table
-    return all(mem.isdisjoint(get(mt[a])) for a in outside)
+    return all(I.isdisjoint(get(mt[a])) for a in outside)
 
 
-def maximal_ideals(R: FiniteRing) -> list[Ideal]:
+def maximal_ideals(R: FiniteRing) -> list[frozenset]:
     if "maximal_ideals" not in R._cache:
         lattice = all_ideals(R)
-        proper = [I for I in lattice if len(I.members) < R.size]
+        proper = [I for I in lattice if len(I) < R.size]
         # larger ideals first: an ideal that is not maximal lies in a maximal one already found
-        maxi: list[Ideal] = []
+        maxi: list[frozenset] = []
         for I in reversed(proper):
-            if not any(I.members < J.members for J in maxi):
+            if not any(I < J for J in maxi):
                 maxi.append(I)
         maxi.reverse()
         primes = [I for I in lattice if is_prime_ideal(R, I)]
-        minp = [
-            I for I in primes
-            if not any(J.members < I.members for J in primes)
-        ]
+        minp = [I for I in primes if not any(J < I for J in primes)]
         # dimension zero: both computations must agree on finite rings
-        if {I.members for I in maxi} != {I.members for I in minp}:
+        if set(maxi) != set(minp):
             raise TheoremViolation(f"maximal/min-prime mismatch on {R.label}")
         R._cache["maximal_ideals"] = maxi
         R._cache["min_primes"] = minp
     return R._cache["maximal_ideals"]
 
 
-def min_primes(R: FiniteRing) -> list[Ideal]:
+def min_primes(R: FiniteRing) -> list[frozenset]:
     maximal_ideals(R)
     return R._cache["min_primes"]
 
 
-def nilradical(R: FiniteRing) -> Ideal:
+def nilradical(R: FiniteRing) -> frozenset:
     if "nilradical" not in R._cache:
         # a is nilpotent iff a^(2^k) = 0 once 2^k >= |R|: k squarings of every element at once
         power = square = array("H", map(getitem, R.mul_table, R.elements()))
         for _ in range((R.size - 1).bit_length() - 1):
             power = gather(power)(square)
-        R._cache["nilradical"] = Ideal(R, frozenset(compress(R.elements(), map(not_, power))))
+        R._cache["nilradical"] = frozenset(compress(R.elements(), map(not_, power)))
     return R._cache["nilradical"]
 
 
 def is_reduced(R: FiniteRing) -> bool:
-    return len(nilradical(R).members) == 1
+    return len(nilradical(R)) == 1
 
 
-def jacobson_radical(R: FiniteRing) -> Ideal:
-    mem = frozenset(R.elements())
-    for I in maximal_ideals(R):
-        mem &= I.members
-    return Ideal(R, mem)
+def jacobson_radical(R: FiniteRing) -> frozenset:
+    return frozenset(R.elements()).intersection(*maximal_ideals(R))
 
 
-def annihilator(R: FiniteRing, a: int) -> Ideal:
-    return Ideal(R, frozenset(b for b, ab in enumerate(R.mul_table[a]) if ab == R.zero))
+def annihilator(R: FiniteRing, a: int) -> frozenset:
+    return frozenset(b for b, ab in enumerate(R.mul_table[a]) if ab == R.zero)
 
 
 def is_local(R: FiniteRing) -> bool:
@@ -459,7 +440,7 @@ def is_local(R: FiniteRing) -> bool:
     return R._cache["is_local"]
 
 
-def maximal_ideal(R: FiniteRing) -> Ideal:
+def maximal_ideal(R: FiniteRing) -> frozenset:
     if not is_local(R):
         raise InvalidIdeal(f"{R.label} is not local")
     return maximal_ideals(R)[0]
@@ -479,21 +460,21 @@ def is_spir(R: FiniteRing) -> bool:
     if not is_local(R):
         return False
     pids = principal_ideals(R)
-    if any(I.members not in pids for I in all_ideals(R)):
+    if any(I not in pids for I in all_ideals(R)):
         return False
     m = maximal_ideal(R)
     p = m
     for _ in range(R.size):
-        if p.members == {R.zero}:
+        if p == {R.zero}:
             return True
         p = ideal_product(R, p, m)
-    return p.members == frozenset({R.zero})
+    return p == {R.zero}
 
 
-def check_ring_axioms(R: FiniteRing, *, cap: int = 64) -> None:
-    """Exhaustive commutative-ring axiom check; raises on failure."""
-    if R.size > cap:
-        raise CapacityExceeded(f"axiom check capped at size {cap}")
+def check_ring_axioms(R: FiniteRing) -> None:
+    """Exhaustive commutative-ring axiom check, for |R| <= 64; raises on failure."""
+    if R.size > 64:
+        raise CapacityExceeded("axiom check capped at size 64")
     els = list(R.elements())
     for a in els:
         assert R.add(a, R.zero) == a

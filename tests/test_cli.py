@@ -85,6 +85,19 @@ def test_verify_idealization_structure(capsys):
         assert rep[key]["pass"], key
 
 
+@pytest.mark.parametrize("theorem", ["ufr-theorem", "bfr-proposition", "idealization-structure"])
+def test_verify_caps_the_idealization(capsys, theorem):
+    # Z16 and its module fit under 64, Z16(+)Z16 has 256 elements
+    argv = ["verify", theorem, "--ring", "Z16", "--module", "self", "--max-ring-size", "64"]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "CapacityExceeded"
+
+
+def test_verify_ubounded_lemma_builds_no_idealization(capsys):
+    argv = ["verify", "ubounded-lemma", "--ring", "Z16", "--module", "self", "--max-ring-size", "64"]
+    assert main(argv) == 0
+
+
 def test_verify_ubounded_lemma(capsys):
     code, out = run(capsys, "verify", "ubounded-lemma", "--ring", "Z2 x Z3")
     assert code == 0

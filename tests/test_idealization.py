@@ -1,6 +1,6 @@
 import pytest
 
-from ringlab.errors import InvalidQuery, ScalarMismatch
+from ringlab.errors import CapacityExceeded, InvalidQuery, ScalarMismatch
 from ringlab.factor import (
     check_lemma_ubounded,
     check_prop_bfr,
@@ -32,6 +32,15 @@ def test_idealize_arithmetic():
     assert T.mul(pair(T, M, 2, 1), pair(T, M, 3, 2)) == pair(T, M, 2, 3)
     # the embedded module squares to zero: (0,x)(0,y) = (0,0)
     assert T.mul(pair(T, M, 0, 3), pair(T, M, 0, 2)) == 0
+
+
+def test_idealize_returns_its_memoised_build_before_checking_cap():
+    R = make_zn(4)
+    M = make_self_module(R)
+    with pytest.raises(CapacityExceeded):
+        idealize(R, M, cap=8)
+    T = idealize(R, M)
+    assert idealize(R, M, cap=8) is T
 
 
 def test_idealize_never_reduced():

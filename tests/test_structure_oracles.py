@@ -12,9 +12,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from ringlab.modules import all_submodules, submodule_generated
+from ringlab.modules import all_submodules, make_self_module, submodule_generated
 from ringlab.rings import (
-    Ideal,
     all_ideals,
     generated_ideal,
     ideal_product,
@@ -87,15 +86,15 @@ def test_ring_structure_matches_references(spec):
     R = ring(spec)
     pids = {frozenset(R.mul(a, b) for b in R.elements()) for a in R.elements()}
     assert set(principal_ideals(R)) == pids
-    lattice = [I.members for I in all_ideals(R)]
+    lattice = [I for I in all_ideals(R)]
     assert set(lattice) == reference_lattice(R.add_table, pids)
     assert lattice == sorted(lattice, key=lambda m: (len(m), sorted(m)))
     primes = [m for m in lattice if reference_is_prime(R, m)]
-    assert [m for m in lattice if is_prime_ideal(R, Ideal(R, m))] == primes
+    assert [m for m in lattice if is_prime_ideal(R, m)] == primes
     proper = [m for m in lattice if len(m) < R.size]
-    assert [I.members for I in maximal_ideals(R)] == [m for m in proper if not any(m < n for n in proper)]
-    assert [I.members for I in min_primes(R)] == [m for m in primes if not any(n < m for n in primes)]
-    assert nilradical(R).members == reference_nilradical(R)
+    assert [I for I in maximal_ideals(R)] == [m for m in proper if not any(m < n for n in proper)]
+    assert [I for I in min_primes(R)] == [m for m in primes if not any(n < m for n in primes)]
+    assert nilradical(R) == reference_nilradical(R)
 
 
 @pytest.mark.parametrize("ring_spec,module_spec", PAIR_SPECS)
@@ -105,10 +104,17 @@ def test_submodule_lattice_matches_reference(ring_spec, module_spec):
     assert set(all_submodules(M)) == reference_lattice(M.add_table, cyclic)
 
 
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_ideals_are_the_submodules_of_the_ring_over_itself(spec):
+    # principal ideals come from the rows of mul_table, cyclic submodules from its columns
+    R = ring(spec)
+    assert all_ideals(R) == all_submodules(make_self_module(R))
+
+
 @pytest.mark.parametrize("spec", ["Z12", "Z2 x Z4", "idealize(Z4,self)", "Z2[t]/(t^3)"])
 def test_subgroup_sum_matches_reference(spec):
     R = ring(spec)
-    lattice = [I.members for I in all_ideals(R)]
+    lattice = [I for I in all_ideals(R)]
     for A in lattice:
         for B in lattice:
             assert subgroup_sum(R.add_table, A, B) == reference_sum(R.add_table, A, B)
@@ -126,7 +132,7 @@ def test_generated_ideal_matches_reference(spec):
     # <a, b> depends on b only through bR, so b runs over one generator of each principal ideal
     for a, b in product(R.elements(), sorted(principal_ideals(R).values())):
         seed = {R.mul(r, g) for r in R.elements() for g in (a, b)}
-        assert generated_ideal(R, [a, b]).members == reference_closure(R.add_table, seed), (a, b)
+        assert generated_ideal(R, [a, b]) == reference_closure(R.add_table, seed), (a, b)
 
 
 @pytest.mark.parametrize("spec", RING_SPECS + [NOT_UNION_OF_PRODUCTS])
@@ -135,8 +141,8 @@ def test_ideal_product_matches_reference(spec):
     lattice = all_ideals(R)
     for I in lattice:
         for J in lattice:
-            seed = {R.mul(a, b) for a in I.members for b in J.members}
-            assert ideal_product(R, I, J).members == reference_closure(R.add_table, seed)
+            seed = {R.mul(a, b) for a in I for b in J}
+            assert ideal_product(R, I, J) == reference_closure(R.add_table, seed)
 
 
 @pytest.mark.parametrize("ring_spec,module_spec", PAIR_SPECS)
