@@ -1,12 +1,13 @@
-"""Factorization predicates over finite rings.
+"""Factorization predicates over finite rings, decided on associate classes.
 
-The workhorse is the divisor graph: a directed graph on the nonzero
-carrier with an edge a -> t labeled s whenever a = s*t for a nonunit s.
-Factorizations of a nonzero nonunit into n nonunits correspond to paths
-of n-1 edges through nonzero nonunit suffixes, ending at the last
-(nonunit) factor; an element has unbounded factorization length exactly
-when a cycle is reachable from it. Zero is excluded everywhere here and
-handled by the minimal-factorization machinery instead.
+In a finite ring aR = bR gives a = ub for a unit u. Every predicate here
+respects associates, so each is decided once per class, on its least
+element (a value of ``principal_ideals``), and a witness is the least
+element of its class. The divisor graph has an edge a -> t labeled s iff
+a = s*t for a nonunit s, so aR lies in tR and a cycle is a class self-loop
+x ~ s*x, that is ba = a. It is built only to name a cycle of a ring that
+is not BFR, and for ``max_factorization_length``. Zero is excluded here
+and left to the minimal-factorization search.
 """
 
 from __future__ import annotations
@@ -56,24 +57,30 @@ def is_atom(R: FiniteRing, a: int) -> bool:
     return True
 
 
-def atoms(R: FiniteRing) -> frozenset:
-    """Nonunits a such that a = bc implies a ~ b or a ~ c, in one sweep.
+def _nonunit_reps(R: FiniteRing) -> list[int]:
+    """The least element of each class of nonunits, ascending; the first is 0."""
+    return [a for a in principal_ideals(R).values() if not is_unit(R, a)]
 
-    Each product a = bc with a associate to neither factor marks a. A
-    unit factor never marks (a = bc with b a unit makes a ~ c), and the
-    table is symmetric, so the sweep covers nonunit pairs b <= c.
+
+def atoms(R: FiniteRing) -> frozenset:
+    """Nonunits a such that a = bc implies a ~ b or a ~ c, in one sweep over classes.
+
+    A product bc associate to neither factor marks its class, which holds
+    every associate b'c'. A unit factor never marks (a = bc with b a unit
+    makes a ~ c) and bc = cb, so the sweep covers nonunit representatives
+    b <= c.
     """
     if "atoms" not in R._cache:
         rep = associate_class_rep(R)
-        nus = sorted(nonunits(R))
+        reps = _nonunit_reps(R)
         broken = set()
-        for i, b in enumerate(nus):
-            row, rb = R.mul_table[b], rep[b]
-            for c in nus[i:]:
-                ra = rep[row[c]]
-                if ra != rb and ra != rep[c]:
-                    broken.add(row[c])
-        R._cache["atoms"] = frozenset(nus) - broken
+        for i, b in enumerate(reps):
+            row = R.mul_table[b]
+            for c in reps[i:]:
+                x = rep[row[c]]
+                if x != b and x != c:
+                    broken.add(x)
+        R._cache["atoms"] = frozenset(a for a in nonunits(R) if rep[a] not in broken)
     return R._cache["atoms"]
 
 
@@ -82,18 +89,17 @@ def atoms(R: FiniteRing) -> frozenset:
 
 
 def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
-    witness = None
-    for b in sorted(nonunits(R)):
-        row = R.mul_table[b]
-        a = next((a for a in range(1, R.size) if row[a] == a), None)
-        if a is not None:
-            witness = {"a": a, "b": b}
-            break
-    # graph form: a self-loop a -> a labeled b is the same relation
-    has_loop = any(v in s for v, s in enumerate(divisor_graph(R).succ))
-    if (witness is None) != (not has_loop):
-        raise TheoremViolation(f"presimplifiable cross-check failed on {R.label}")
-    return (witness is None), (witness or {})
+    """No ba = a with a != 0 and b a nonunit; the witness is the least such b, then a.
+
+    ba = a is (b-1)a = 0, and the nonunits of a finite ring are its zero
+    divisors, so the nonunits b that fix some a != 0 are those with b-1 a nonunit.
+    """
+    nus = nonunits(R)
+    less_one = R.add_table[R.neg(R.one)]  # less_one[b] = b - 1
+    b = next((b for b in range(R.size) if b in nus and less_one[b] in nus), None)
+    if b is None:
+        return True, {}
+    return False, {"a": R.mul_table[less_one[b]].index(R.zero, 1), "b": b}
 
 
 def is_accp(R: FiniteRing) -> tuple[bool, int]:
@@ -121,10 +127,8 @@ def divisor_graph(R: FiniteRing) -> DivisorGraph:
 def _nonunit_starts(R: FiniteRing) -> list[int]:
     """The nonzero nonunits in the order the reported BFR witnesses were found in.
 
-    Those witnesses were searched in a filtered view of the graph that
-    walks the Python set of kept nodes, not the ascending carrier, when
-    fewer than half the nodes are kept. Start order picks the first cycle,
-    so it is kept as is to leave reports byte-identical.
+    When fewer than half the nonzero elements are nonunits, that order is
+    the Python set's, not the ascending carrier's; it picks the reported cycle.
     """
     nus = sorted(nonunits(R) - {R.zero})
     return list(set(nus)) if 2 * len(nus) < R.size - 1 else nus
@@ -153,14 +157,18 @@ def max_factorization_length(R: FiniteRing, a: int) -> tuple[int | None, dict]:
 
 
 def is_bfr(R: FiniteRing) -> tuple[bool, dict]:
-    """BFR iff the nonzero-nonunit divisor graph is acyclic."""
+    """BFR iff no class has a self-loop x ~ s*x, s a nonunit; only then is a graph cycle named."""
     if "bfr" not in R._cache:
-        witness, _ = search(divisor_graph(R), _nonunit_starts(R), units(R))
-        if witness is None:
-            R._cache["bfr"] = True, {}
-        else:
+        rep = associate_class_rep(R)
+        reps = _nonunit_reps(R)
+        loop = any(rep[R.mul_table[s][x]] == x for x in reps[1:] for s in reps)
+        witness = search(divisor_graph(R), _nonunit_starts(R), units(R))[0] if loop else None
+        # ba = a is the same self-loop, and a self-loop is a cycle
+        if loop == is_presimplifiable(R)[0] or loop != (witness is not None):
+            raise TheoremViolation(f"BFR cross-check failed on {R.label}")
+        if witness:
             witness["element"] = witness["cycle"][0]
-            R._cache["bfr"] = False, witness
+        R._cache["bfr"] = (not loop), (witness or {})
     return R._cache["bfr"]
 
 
@@ -201,8 +209,7 @@ def minimal_factorizations_of_zero(R: FiniteRing) -> list[tuple[int, ...]]:
     changing the product, so the branch cannot end minimal; this bounds
     the depth by |R|.
     """
-    rep = associate_class_rep(R)
-    reps = sorted({rep[a] for a in nonunits(R)})
+    reps = _nonunit_reps(R)
     found: list[tuple[int, ...]] = []
     budget = [ZERO_SEARCH_BUDGET]
 
@@ -248,33 +255,31 @@ def u_boundedness_of_zero(R: FiniteRing) -> tuple[bool, int, tuple[int, ...] | N
 
 
 def atom_divisors(R: FiniteRing) -> dict[int, list[tuple[int, int]]]:
-    """x -> [(p, t) : p*t = x] over nonzero atoms p and nonzero nonunits t, for x != 0."""
+    """Class x != 0 -> [(p, t) : p*t ~ x], p and t nonzero nonunit representatives, p an atom."""
     if "atom_divisors" not in R._cache:
-        ts = sorted(nonunits(R) - {R.zero})
+        rep = associate_class_rep(R)
+        ts = _nonunit_reps(R)[1:]
         index: dict[int, list[tuple[int, int]]] = {}
-        for p in sorted(atoms(R) - {R.zero}):
+        for p in sorted(atoms(R).intersection(ts)):
             for t, x in zip(ts, map(R.mul_table[p].__getitem__, ts)):
                 if x != R.zero:
-                    index.setdefault(x, []).append((p, t))
+                    index.setdefault(rep[x], []).append((p, t))
         R._cache["atom_divisors"] = index
     return R._cache["atom_divisors"]
 
 
 def is_atomic(R: FiniteRing) -> tuple[bool, dict]:
-    """Every nonzero nonunit is a product of atoms (least fixpoint)."""
+    """Every nonzero nonunit is a product of atoms, in one pass, largest principal ideal first.
+
+    x ~ p*t with t not ~ x puts xR strictly inside tR, so t is decided before x.
+    """
     ats = atoms(R)
-    nus = nonunits(R)
     divs = atom_divisors(R)
-    targets = [a for a in range(1, R.size) if a in nus]
-    good = set(a for a in targets if a in ats)
-    changed = True
-    while changed:
-        changed = False
-        for a in targets:
-            if a not in good and any(t in good for _, t in divs.get(a, ())):
-                good.add(a)
-                changed = True
-    bad = [a for a in targets if a not in good]
+    good = set()
+    for _, x in sorted(principal_ideals(R).items(), key=lambda item: -len(item[0])):
+        if not is_unit(R, x) and (x in ats or any(t in good for _, t in divs.get(x, ()))):
+            good.add(x)
+    bad = [x for x in _nonunit_reps(R)[1:] if x not in good]
     if bad:
         return False, {"element": bad[0]}
     return True, {}
@@ -283,8 +288,7 @@ def is_atomic(R: FiniteRing) -> tuple[bool, dict]:
 def atom_factorizations(R: FiniteRing, a: int) -> set[tuple[int, ...]]:
     """All atom multisets with product a, canonicalized by associate-class reps.
 
-    Requires a to have bounded factorization length (the recursion walks
-    the acyclic part of the divisor graph).
+    Requires a to have bounded factorization length, so that the recursion ends.
     """
     if a == R.zero or is_unit(R, a):
         raise InvalidQuery("atom factorizations apply to nonzero nonunits")
@@ -295,25 +299,21 @@ def atom_factorizations(R: FiniteRing, a: int) -> set[tuple[int, ...]]:
 
 
 def _atom_multisets(R: FiniteRing, a: int) -> set[tuple[int, ...]]:
-    """atom_factorizations without the boundedness check, memoized on the ring.
-
-    Every divisor chain below a must be finite, so each stored set is complete.
-    """
+    """atom_factorizations without its check: every divisor chain below a must be finite."""
     memo = R._cache.setdefault("atom_multisets", {})
     ats = atoms(R)
-    rep = associate_class_rep(R)
     divs = atom_divisors(R)
 
     def fac(x: int) -> set:
         if x not in memo:
-            res: set[tuple[int, ...]] = {(rep[x],)} if x in ats else set()
+            res: set[tuple[int, ...]] = {(x,)} if x in ats else set()
             for p, t in divs.get(x, ()):
                 for rest in fac(t):
-                    res.add(tuple(sorted((rep[p],) + rest)))
+                    res.add(tuple(sorted((p,) + rest)))
             memo[x] = res
         return memo[x]
 
-    return fac(a)
+    return fac(associate_class_rep(R)[a])
 
 
 def is_ufr_direct(R: FiniteRing) -> tuple[bool, dict]:
@@ -325,10 +325,7 @@ def is_ufr_direct(R: FiniteRing) -> tuple[bool, dict]:
     if not atomic:
         return False, {"reason": "not_atomic", **wit}
     # a BFR bounds every element, as atom_factorizations requires
-    nus = nonunits(R)
-    for a in range(1, R.size):
-        if a not in nus:
-            continue
+    for a in _nonunit_reps(R)[1:]:
         facs = _atom_multisets(R, a)
         if len(facs) != 1:
             two = sorted(facs)[:2]

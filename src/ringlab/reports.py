@@ -23,6 +23,7 @@ from .factor import (
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
+    associate_class_rep,
     is_field,
     is_local,
     is_reduced,
@@ -30,6 +31,7 @@ from .rings import (
     is_unit,
     min_primes,
     nonunits,
+    principal_ideals,
     units,
 )
 from .specparse import build_ring, parse_spec, to_text
@@ -71,7 +73,10 @@ class PropertyReport:
             out.append("UFR but not BFR")
         if self.bfr and not self.accp:
             out.append("BFR but not ACCP")
-        if self.size <= 512 and self.ufr_direct != self.ufr_bouvier:
+        # a nonzero nonunit with no atom factorization has a nonatom factor with none, and so on up
+        if self.accp and not self.atomic:
+            out.append("ACCP but not atomic")
+        if self.ufr_direct != self.ufr_bouvier:
             out.append("ufr_direct disagrees with Bouvier classification")
         return out
 
@@ -183,19 +188,36 @@ def _replay_ufr_witness(R: FiniteRing, w) -> bool:
         return False
     if reason == "not_atomic":
         return a != R.zero and not is_unit(R, a)
-    if reason == "non_unique" and isinstance(multisets, list):
+    if reason == "non_unique" and isinstance(multisets, list) and a != R.zero:
+        rep = associate_class_rep(R)
         seen = set()
         for multiset in multisets:
-            if not _elements(R, multiset):
+            if not _elements(R, multiset) or not all(_is_atom(R, rep, f) for f in multiset):
                 return False
             prod = R.one
             for f in multiset:
                 prod = R.mul(prod, f)
             if prod != a:
                 return False
-            seen.add(tuple(sorted(multiset)))
-        return len(seen) == len(multisets)
+            seen.add(tuple(sorted(rep[f] for f in multiset)))
+        return len(seen) == len(multisets) >= 2
     return False
+
+
+def _is_atom(R: FiniteRing, rep: list[int], f: int) -> bool:
+    """The definition: f is a nonunit, and f = bc makes f ~ b or f ~ c.
+
+    A unit b leaves c ~ f, so only the rows of nonunits b with f in bR are read.
+    """
+    nus = nonunits(R)
+    if f not in nus:
+        return False
+    ideal = {g: members for members, g in principal_ideals(R).items()}
+    for b in nus:
+        if rep[b] != rep[f] and f in ideal[rep[b]]:
+            if any(rep[c] != rep[f] for c, v in enumerate(R.mul_table[b]) if v == f):
+                return False
+    return True
 
 
 def recheck_report(report: dict, *, cap: int = DEFAULT_SIZE_CAP) -> list[str]:

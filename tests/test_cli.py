@@ -278,6 +278,15 @@ def test_cross_check_failure_is_a_theorem_violation(monkeypatch, capsys):
     assert _error_kind(capsys) == "TheoremViolation"
 
 
+def test_presimplifiable_disagreeing_with_the_class_self_loop_is_a_theorem_violation(monkeypatch, capsys):
+    from ringlab import factor
+
+    # Z8 is local, so no class has a self-loop; a stub that reports some ba = a with a != 0 contradicts it
+    monkeypatch.setattr(factor, "is_presimplifiable", lambda R: (False, {"a": 4, "b": 3}))
+    assert main(["analyze", "Z8"]) == 2
+    assert _error_kind(capsys) == "TheoremViolation"
+
+
 # each negative verdict of Z6 carries a witness; a missing or misshaped one must fail its replay
 BAD_WITNESSES = [
     ("presimplifiable_witness", value, "presimplifiable witness does not replay")
@@ -347,3 +356,42 @@ def test_corpus_untyped_failure_stays_in_its_row(tmp_path, capsys, monkeypatch, 
     assert "ZeroDivisionError: boom" in rows["Z8"]["traceback"]
     assert payload["summary"]["errors_by_kind"] == {"ZeroDivisionError": 1}
     assert payload["summary"]["violations"] == [{"spec": "Z8", "violation": "ZeroDivisionError: boom"}]
+
+
+# idealize(Z4,self) reports element 2 as non_unique: its unity is 4, its atoms are
+# 1, 3, 8, 9, 10 and 11, and 3 ~ 1; each multiset below multiplies out to 2
+@pytest.mark.parametrize("multisets", [[[2], [4, 2]], [[2], [2, 4, 4]], [[1, 8], [3, 8]]])
+def test_recheck_non_unique_needs_atom_multisets_of_distinct_classes(tmp_path, capsys, multisets):
+    _, out = run(capsys, "analyze", "idealize(Z4,self)")
+    payload = json.loads(out)
+    assert payload["report"]["ufr_witness"]["reason"] == "non_unique"
+    payload["report"]["ufr_witness"]["multisets"] = multisets
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out = run(capsys, "recheck", str(bad))
+    assert code == 2
+    assert {"spec": "idealize(Z4,self)", "failure": "ufr witness does not replay"} in json.loads(out)["report"]["failures"]
+
+
+@pytest.mark.parametrize("spec", ["idealize(Z4,self)", "idealize(Z8,self)", "idealize(Z9,self)",
+                                  "idealize(Z16,self)"])
+def test_recheck_replays_non_unique_witnesses(tmp_path, capsys, spec):
+    _, out = run(capsys, "analyze", spec)
+    assert json.loads(out)["report"]["ufr_witness"]["reason"] == "non_unique"
+    report_file = tmp_path / "out.json"
+    report_file.write_text(out)
+    code, out = run(capsys, "recheck", str(report_file))
+    assert code == 0 and json.loads(out)["report"]["failures"] == []
+
+
+@pytest.mark.parametrize("spec,field,violation", [
+    ("Z521", "ufr_direct", "ufr_direct disagrees with Bouvier classification"),
+    ("Z12", "atomic", "ACCP but not atomic"),
+])
+def test_violations_catch_a_flipped_verdict(spec, field, violation):
+    from ringlab.reports import PropertyReport, analyze_spec
+
+    report, _ = analyze_spec(spec)
+    assert PropertyReport(**report).violations() == []
+    report[field] = not report[field]
+    assert violation in PropertyReport(**report).violations()
