@@ -102,9 +102,17 @@ def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
     return False, {"a": R.mul_table[less_one[b]].index(R.zero, 1), "b": b}
 
 
+def _principal_heights(R: FiniteRing) -> dict[int, int]:
+    """Class representative x -> the length of the longest strict chain of principal ideals from xR to (0)."""
+    if "heights" not in R._cache:
+        height = chain_height(principal_ideals(R))
+        R._cache["heights"] = {a: height[m] for m, a in principal_ideals(R).items()}
+    return R._cache["heights"]
+
+
 def is_accp(R: FiniteRing) -> tuple[bool, int]:
     """Always true at finite scale; returns the principal-ideal chain height."""
-    return True, chain_height(principal_ideals(R))
+    return True, max(_principal_heights(R).values())
 
 
 # ---------------------------------------------------------------------------
@@ -197,56 +205,44 @@ def bf_lengths_oracle(R: FiniteRing) -> dict[int, int | None]:
 
 
 def minimal_factorizations_of_zero(R: FiniteRing) -> list[tuple[int, ...]]:
-    """Minimal factorizations 0 = a_1 ... a_n into nonunits, up to associates.
+    """[the least of the longest minimal factorizations 0 = a_1 ... a_n into nonunits].
 
-    Factors range over associate-class representatives only: replacing a
-    factor by an associate multiplies every sub-multiset product by a
-    unit, which preserves both zeroness and minimality, so lengths and
-    existence are unaffected. A multiset is extended only while all of
-    its sub-multiset products stay nonzero (any zero proper sub-product
-    kills minimality). A repeated prefix product is pruned too: the
-    factors between two equal prefix products could be dropped without
-    changing the product, so the branch cannot end minimal; this bounds
-    the depth by |R|.
+    Factors are class representatives, ascending (an associate scales every sub-product
+    by a unit); a multiset grows while its sub-products stay nonzero and its prefix
+    products descend strictly: paR = pR gives pa = up, u a unit, and a could be dropped
+    (a repeated prefix product is one such case). So l factors with product p end within
+    l + h(p). For L = h(1), h(1) - 1, ... the search skips prefixes with l + h(p) < L
+    and stops at its first hit of length L (L = 1 hits 0).
     """
-    reps = _nonunit_reps(R)
-    found: list[tuple[int, ...]] = []
-    budget = [ZERO_SEARCH_BUDGET]
+    reps, rep, h = _nonunit_reps(R), associate_class_rep(R), _principal_heights(R)
+    budget = iter(range(ZERO_SEARCH_BUDGET))
 
-    def extend(prefix: list[int], strict_prods: frozenset, prefix_prods: frozenset,
-               full_prod: int, start: int):
-        if budget[0] <= 0:
+    def extend(prefix: list[int], strict_prods: frozenset, full_prod: int, start: int, target: int):
+        if next(budget, None) is None:
             raise CapacityExceeded("minimal-factorization search budget exhausted")
-        budget[0] -= 1
+        h_p = h[rep[full_prod]]
         for i in range(start, len(reps)):
             a = reps[i]
             times_a = R.mul_table[a]
             pa = times_a[full_prod]
+            if not target - len(prefix) - 1 <= h[rep[pa]] < h_p:
+                continue
             strict_times_a = set(map(times_a.__getitem__, strict_prods))
+            if R.zero in strict_times_a:
+                continue
             if pa == R.zero:
-                if R.zero not in strict_times_a:
-                    found.append(tuple(prefix + [a]))
-                continue
-            if R.zero in strict_times_a or pa in prefix_prods:
-                continue
-            extend(
-                prefix + [a],
-                strict_prods | strict_times_a | {full_prod},
-                prefix_prods | {pa},
-                pa,
-                i,
-            )
+                return prefix + [a]
+            hit = extend(prefix + [a], strict_prods | strict_times_a | {full_prod}, pa, i, target)
+            if hit:
+                return hit
 
-    extend([], frozenset(), frozenset({R.one}), R.one, 0)
-    return sorted(found, key=lambda f: (len(f), f))
+    searches = (extend([], frozenset(), R.one, 0, L) for L in range(h[rep[R.one]], 0, -1))
+    return [tuple(next(filter(None, searches)))]
 
 
-def u_boundedness_of_zero(R: FiniteRing) -> tuple[bool, int, tuple[int, ...] | None]:
+def u_boundedness_of_zero(R: FiniteRing) -> tuple[bool, int, tuple[int, ...]]:
     """(always-true flag, max minimal factorization length of 0, witness)."""
-    facts = minimal_factorizations_of_zero(R)
-    if not facts:
-        return True, 0, None
-    best = max(facts, key=len)
+    (best,) = minimal_factorizations_of_zero(R)
     return True, len(best), best
 
 

@@ -26,6 +26,7 @@ from .rings import (
     multiples,
     pair_table,
     pair_vector,
+    principal_ideals,
     subgroup_span,
     units,
 )
@@ -157,13 +158,14 @@ def verify_ideal_product(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     """
     T = idealize(R, M)
     shaped = [(I, N, _shape_members(M, I, N)) for I, N in _homogeneous_ideals(R, M)]
+    # I1 I2 once per pair of ideals of R; rR = sR gives rN = sN, so IN is the sum of rN over class reps r in I
+    products = {(I1, I2): ideal_product(R, I1, I2) for I1 in all_ideals(R) for I2 in all_ideals(R)}
+    reps = {I: [r for r in principal_ideals(R).values() if r in I] for I in all_ideals(R)}
     for I1, N1, J1 in shaped:
         for I2, N2, J2 in shaped:
             lhs = ideal_product(T, J1, J2)
-            I12 = ideal_product(R, I1, I2)
-            # I1 N2 + I2 N1 is the sum of the submodules r N2 (r in I1) and r N1 (r in I2)
-            acted = multiples(M.act_table, I1, N2) | multiples(M.act_table, I2, N1)
-            rhs = _shape_members(M, I12, subgroup_span(M.add_table, acted))
+            acted = multiples(M.act_table, reps[I1], N2) | multiples(M.act_table, reps[I2], N1)
+            rhs = _shape_members(M, products[I1, I2], subgroup_span(M.add_table, acted))
             if lhs != rhs:
                 return False, {"J1": sorted(J1), "J2": sorted(J2),
                                "lhs": sorted(lhs), "rhs": sorted(rhs)}

@@ -146,7 +146,7 @@ def is_semisimple_oracle(M: FiniteModule) -> bool:
 
 def is_accc(M: FiniteModule) -> tuple[bool, int]:
     """Always true at finite scale; returns the cyclic-submodule chain height."""
-    return True, chain_height(map(frozenset, zip(*M.act_table)))  # column x is Rx
+    return True, max(chain_height(map(frozenset, zip(*M.act_table))).values())  # column x is Rx
 
 
 class DivisorGraph:

@@ -78,6 +78,9 @@ class PropertyReport:
             out.append("ACCP but not atomic")
         if self.ufr_direct != self.ufr_bouvier:
             out.append("ufr_direct disagrees with Bouvier classification")
+        # the prefix products of a minimal factorization of 0 descend strictly through principal ideals
+        if self.u_bounded_max_len > self.accp_height:
+            out.append("minimal factorization of 0 longer than the principal-ideal chain")
         return out
 
 
@@ -186,8 +189,15 @@ def _replay_ufr_witness(R: FiniteRing, w) -> bool:
         return _replay_cycle(R, w)
     if not _elements(R, [a]):
         return False
-    if reason == "not_atomic":
-        return a != R.zero and not is_unit(R, a)
+    if reason == "not_atomic" and a != R.zero and not is_unit(R, a):
+        # only the atoms that divide a can appear in a factorization of a
+        rep = associate_class_rep(R)
+        ats = [f for f in nonunits(R) if a in R.mul_table[f] and _is_atom(R, rep, f)]
+        products = frontier = set(ats)
+        while frontier:
+            frontier = {R.mul_table[p][x] for p in ats for x in frontier} - products
+            products = products | frontier
+        return a not in products
     if reason == "non_unique" and isinstance(multisets, list) and a != R.zero:
         rep = associate_class_rep(R)
         seen = set()

@@ -181,13 +181,12 @@ def multiples(rows: list[array], A: Iterable[int], B: Iterable[int]) -> set[froz
     return {frozenset(get(rows[a])) for a in A}
 
 
-def chain_height(family: Iterable[frozenset]) -> int:
-    """Length of the longest strict chain in a family of sets (ACCP, ACCC heights)."""
-    sets = sorted(set(family), key=len)
-    height: list[int] = []
-    for i, s in enumerate(sets):
-        height.append(max((height[j] + 1 for j in range(i) if sets[j] < s), default=0))
-    return max(height, default=0)
+def chain_height(family: Iterable[frozenset]) -> dict[frozenset, int]:
+    """Each set's height: the length of the longest strict chain of the family's sets below it."""
+    height: dict[frozenset, int] = {}
+    for s in sorted(set(family), key=len):
+        height[s] = max((h + 1 for t, h in height.items() if t < s), default=0)
+    return height
 
 
 def lattice_by_sums(add_table: list[array], cyclic: Iterable[frozenset], label: str) -> list[frozenset]:
@@ -359,8 +358,12 @@ def ideal_sum(R: FiniteRing, I: frozenset, J: frozenset) -> frozenset:
 
 
 def ideal_product(R: FiniteRing, I: frozenset, J: frozenset) -> frozenset:
-    """IJ as the sum of the ideals aJ, a in I."""
-    return subgroup_span(R.add_table, multiples(R.mul_table, I, J))
+    """IJ as the sum of the ideals abR, a and b least in their classes in I and J. I and J must
+    be ideals: aR = a'R gives aJ = a'J, and J is the sum of its ideals bR."""
+    pids, rep = principal_ideals(R), associate_class_rep(R)
+    get = gather([b for b in pids.values() if b in J])
+    products = {rep[x] for a in pids.values() if a in I for x in get(R.mul_table[a])}
+    return subgroup_span(R.add_table, (m for m, g in pids.items() if g in products))
 
 
 def all_ideals(R: FiniteRing) -> list[frozenset]:
@@ -371,13 +374,12 @@ def all_ideals(R: FiniteRing) -> list[frozenset]:
 
 
 def is_prime_ideal(R: FiniteRing, I: frozenset) -> bool:
-    """No product of two elements outside I falls in I; whether ab is in I depends
-    only on a + I and b + I, so one representative of each nonzero class is tested."""
+    """I is proper and no product of two elements outside I falls in I. I must be an ideal: a = ub,
+    u a unit, gives a in I iff b in I and ab' in I iff bb' in I, so one element per class is tested."""
     if len(I) == R.size:
         return False
-    outside = coset_classes(R.add_table, I)[1][1:]  # class 0 is I itself
-    get, mt = gather(outside), R.mul_table
-    return all(I.isdisjoint(get(mt[a])) for a in outside)
+    outside = [a for a in principal_ideals(R).values() if a not in I]
+    return all(I.isdisjoint(get(R.mul_table[a])) for get in [gather(outside)] for a in outside)
 
 
 def maximal_ideals(R: FiniteRing) -> list[frozenset]:

@@ -306,6 +306,9 @@ BAD_WITNESSES = [
 ] + [
     ("u_bounded_example", value, "u-bounded example does not replay")
     for value in [None, {}, "23", [2, "3"], [2, None], [[2], [3]], [2, 99], [2, 3, 1]]
+] + [
+    # a finite ring is atomic: 2 = 2 * 1 * ... is a product of atoms of Z6
+    ("ufr_witness", {"reason": "not_atomic", "element": 2}, "ufr witness does not replay"),
 ]
 
 
@@ -373,6 +376,18 @@ def test_recheck_non_unique_needs_atom_multisets_of_distinct_classes(tmp_path, c
     assert {"spec": "idealize(Z4,self)", "failure": "ufr witness does not replay"} in json.loads(out)["report"]["failures"]
 
 
+def test_recheck_not_atomic_needs_an_element_with_no_atom_factorization(tmp_path, capsys):
+    # element 2 of idealize(Z4,self) is a nonzero nonunit and the product of the atoms 1 and 8
+    _, out = run(capsys, "analyze", "idealize(Z4,self)")
+    payload = json.loads(out)
+    payload["report"]["ufr_witness"] = {"reason": "not_atomic", "element": 2}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out = run(capsys, "recheck", str(bad))
+    assert code == 2
+    assert {"spec": "idealize(Z4,self)", "failure": "ufr witness does not replay"} in json.loads(out)["report"]["failures"]
+
+
 @pytest.mark.parametrize("spec", ["idealize(Z4,self)", "idealize(Z8,self)", "idealize(Z9,self)",
                                   "idealize(Z16,self)"])
 def test_recheck_replays_non_unique_witnesses(tmp_path, capsys, spec):
@@ -395,3 +410,13 @@ def test_violations_catch_a_flipped_verdict(spec, field, violation):
     assert PropertyReport(**report).violations() == []
     report[field] = not report[field]
     assert violation in PropertyReport(**report).violations()
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z64", "Z6", "idealize(Z4,self)"])
+def test_violations_catch_a_zero_factorization_longer_than_the_chain(spec):
+    from ringlab.reports import PropertyReport, analyze_spec
+
+    report, _ = analyze_spec(spec)
+    assert report["u_bounded_max_len"] <= report["accp_height"]
+    report["u_bounded_max_len"] = report["accp_height"] + 1
+    assert "minimal factorization of 0 longer than the principal-ideal chain" in PropertyReport(**report).violations()
