@@ -25,10 +25,6 @@ class InvalidQuery(RinglabError):
     pass
 
 
-class UnboundedElement(RinglabError):
-    pass
-
-
 class CapacityExceeded(RinglabError):
     exit_code = 3
 

@@ -6,17 +6,18 @@ element (a value of ``principal_ideals``), and a witness is the least
 element of its class. The divisor graph has an edge a -> t labeled s iff
 a = s*t for a nonunit s, so aR lies in tR and a cycle is a class self-loop
 x ~ s*x, that is ba = a. It is built only to name a cycle of a ring that
-is not BFR, and for ``max_factorization_length``. Zero is excluded here
-and left to the minimal-factorization search.
+is not BFR. Zero is excluded here and left to the minimal-factorization
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .errors import CapacityExceeded, InvalidQuery, TheoremViolation, UnboundedElement
+from .errors import CapacityExceeded, InvalidQuery, TheoremViolation
 from .idealization import idealize
-from .modules import DivisorGraph, FiniteModule, divisor_graph_over, is_accc, is_bfm, is_semisimple, search
+from .modules import FiniteModule, is_accc, is_bfm, is_semisimple, make_self_module, self_loop
 from .rings import (
     FiniteRing,
     associate_class_rep,
@@ -89,17 +90,15 @@ def atoms(R: FiniteRing) -> frozenset:
 
 
 def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
-    """No ba = a with a != 0 and b a nonunit; the witness is the least such b, then a.
+    """No ba = a with a != 0 and b a nonunit: the BFM self-loop scan of R over itself.
 
-    ba = a is (b-1)a = 0, and the nonunits of a finite ring are its zero
-    divisors, so the nonunits b that fix some a != 0 are those with b-1 a nonunit.
+    The witness is the least such b, then the least such a.
     """
-    nus = nonunits(R)
-    less_one = R.add_table[R.neg(R.one)]  # less_one[b] = b - 1
-    b = next((b for b in range(R.size) if b in nus and less_one[b] in nus), None)
-    if b is None:
+    loop = self_loop(make_self_module(R))
+    if loop is None:
         return True, {}
-    return False, {"a": R.mul_table[less_one[b]].index(R.zero, 1), "b": b}
+    b, a = loop
+    return False, {"a": a, "b": b}
 
 
 def _principal_heights(R: FiniteRing) -> dict[int, int]:
@@ -119,6 +118,22 @@ def is_accp(R: FiniteRing) -> tuple[bool, int]:
 # divisor graph and BF analysis
 
 
+class DivisorGraph:
+    """Divisor graph on 1..size-1 as successor maps.
+
+    succ[a][t] is the least nonunit s with a = s*t != 0. The keys of
+    each succ[a] ascend, and succ[0] is empty: node 0 is not in the graph.
+    """
+
+    __slots__ = ("succ",)
+
+    def __init__(self, succ: list[dict[int, int]]):
+        self.succ = succ
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self.succ))
+
+
 def divisor_graph(R: FiniteRing) -> DivisorGraph:
     """Nodes: nonzero elements. Edge a -> t labeled s iff a = s*t, s nonunit.
 
@@ -127,9 +142,56 @@ def divisor_graph(R: FiniteRing) -> DivisorGraph:
     """
     if "divisor_graph" not in R._cache:
         desc = sorted(nonunits(R), reverse=True)
-        columns = (map(row.__getitem__, desc) for row in R.mul_table)  # mul_table is symmetric
-        R._cache["divisor_graph"] = divisor_graph_over(columns, R.size, desc)
+        succ: list[dict[int, int]] = [{} for _ in range(R.size)]
+        for t, row in enumerate(R.mul_table):  # mul_table is symmetric: row t lists s*t
+            # desc descends, so a later, smaller s overwrites a larger one
+            first = dict(zip(map(row.__getitem__, desc), desc))
+            first.pop(R.zero, None)
+            for a, s in first.items():
+                succ[a][t] = s
+        R._cache["divisor_graph"] = DivisorGraph(succ)
     return R._cache["divisor_graph"]
+
+
+ON_PATH = -2  # search's height mark for nodes on the current path
+
+
+def search(G: DivisorGraph, starts: Iterable[int], outside: Iterable[int] = ()) -> tuple:
+    """One depth-first search of G from each unfinished start, in order.
+
+    Successors are taken in ascending order and finished nodes are skipped;
+    reported witnesses depend on that order. Nodes in ``outside`` count as
+    finished sinks of height -1, so the search neither enters nor counts them.
+
+    Returns (witness, height): the first cycle met as {"cycle": nodes,
+    "labels": scalars} with cycle[k] = labels[k] * cycle[k+1], or None and
+    then height[v], the most edges on a path from v, for each v reached.
+    """
+    succ = G.succ
+    height: list = [None] * len(succ)
+    for v in outside:
+        height[v] = -1
+    for s in starts:
+        if height[s] is not None:
+            continue
+        height[s] = ON_PATH
+        path, its = [s], [iter(succ[s])]
+        while path:
+            for y in its[-1]:
+                if height[y] is None:
+                    height[y] = ON_PATH
+                    path.append(y)
+                    its.append(iter(succ[y]))
+                    break
+                if height[y] == ON_PATH:
+                    cycle = path[path.index(y):]
+                    labels = [succ[u][v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+                    return {"cycle": cycle, "labels": labels}, height
+            else:
+                v = path.pop()
+                its.pop()
+                height[v] = 1 + max(map(height.__getitem__, succ[v]), default=-1)
+    return None, height
 
 
 def _nonunit_starts(R: FiniteRing) -> list[int]:
@@ -140,28 +202,6 @@ def _nonunit_starts(R: FiniteRing) -> list[int]:
     """
     nus = sorted(nonunits(R) - {R.zero})
     return list(set(nus)) if 2 * len(nus) < R.size - 1 else nus
-
-
-def max_factorization_length(R: FiniteRing, a: int) -> tuple[int | None, dict]:
-    """Sup of n over factorizations a = r_1 ... r_n into nonunits.
-
-    None means unbounded; the witness is then a reachable cycle, else an
-    explicit factor list realizing the maximum.
-    """
-    if a == R.zero or is_unit(R, a):
-        raise InvalidQuery("BF analysis applies to nonzero nonunits")
-    G = divisor_graph(R)
-    witness, height = search(G, [a], units(R))
-    if witness:
-        return None, witness
-    # walk down the longest path, taking the least successor at each step
-    succ, factors, v = G.succ, [], a
-    while height[v] > 0:
-        t = next(t for t in succ[v] if height[t] == height[v] - 1)
-        factors.append(succ[v][t])
-        v = t
-    factors.append(v)
-    return 1 + height[a], {"factors": factors}
 
 
 def is_bfr(R: FiniteRing) -> tuple[bool, dict]:
@@ -178,26 +218,6 @@ def is_bfr(R: FiniteRing) -> tuple[bool, dict]:
             witness["element"] = witness["cycle"][0]
         R._cache["bfr"] = (not loop), (witness or {})
     return R._cache["bfr"]
-
-
-def bf_lengths_oracle(R: FiniteRing) -> dict[int, int | None]:
-    """Independent brute force: layered products of exactly k nonunits.
-
-    Depth cap |R|+1 is complete by pigeonhole on suffix products. Returns
-    the max length per nonzero nonunit, None for unbounded.
-    """
-    depth_cap = R.size + 1
-    nus = sorted(nonunits(R))
-    layer = nonunits(R) - {R.zero}
-    reach: dict[int, int] = dict.fromkeys(layer, 1)
-    k = 1
-    while layer and k < depth_cap:
-        k += 1
-        layer = {a for s in nus for a in map(R.mul_table[s].__getitem__, layer)} - {R.zero}
-        for a in layer:
-            if a in reach:
-                reach[a] = k
-    return {a: (None if v >= depth_cap else v) for a, v in reach.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +301,11 @@ def is_atomic(R: FiniteRing) -> tuple[bool, dict]:
     return True, {}
 
 
-def atom_factorizations(R: FiniteRing, a: int) -> set[tuple[int, ...]]:
-    """All atom multisets with product a, canonicalized by associate-class reps.
-
-    Requires a to have bounded factorization length, so that the recursion ends.
-    """
-    if a == R.zero or is_unit(R, a):
-        raise InvalidQuery("atom factorizations apply to nonzero nonunits")
-    length, _ = max_factorization_length(R, a)
-    if length is None:
-        raise UnboundedElement(f"element {a} has unbounded factorization length")
-    return set(_atom_multisets(R, a))
-
-
 def _atom_multisets(R: FiniteRing, a: int) -> set[tuple[int, ...]]:
-    """atom_factorizations without its check: every divisor chain below a must be finite."""
+    """All atom multisets with product a, as sorted class representatives.
+
+    Every divisor chain below a must be finite, so that the recursion ends.
+    """
     memo = R._cache.setdefault("atom_multisets", {})
     ats = atoms(R)
     divs = atom_divisors(R)
@@ -320,7 +330,7 @@ def is_ufr_direct(R: FiniteRing) -> tuple[bool, dict]:
     atomic, wit = is_atomic(R)
     if not atomic:
         return False, {"reason": "not_atomic", **wit}
-    # a BFR bounds every element, as atom_factorizations requires
+    # a BFR bounds every element, as _atom_multisets requires
     for a in _nonunit_reps(R)[1:]:
         facs = _atom_multisets(R, a)
         if len(facs) != 1:
@@ -340,10 +350,6 @@ def bouvier_class(R: FiniteRing) -> str:
     if is_spir(R):
         return "SPIR"
     return "none"
-
-
-def is_ufr_bouvier(R: FiniteRing) -> bool:
-    return bouvier_class(R) != "none"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Finite modules over finite rings.
 
 Same dense indexing conventions as rings: element 0 is the zero of the
-module. Bounded-factorization analysis runs on the module divisor graph
-(edges x -> y labeled by a nonunit r with x = r*y; node 0 excluded, since
-a chain through 0 would force the source to be 0).
+module. Bounded factorization is decided by one scan for a self-loop
+x = bx, x != 0 and b a nonunit, which ``factor.is_presimplifiable`` reads
+on a ring over itself.
 """
 
 from __future__ import annotations
@@ -149,116 +149,35 @@ def is_accc(M: FiniteModule) -> tuple[bool, int]:
     return True, max(chain_height(map(frozenset, zip(*M.act_table))).values())  # column x is Rx
 
 
-class DivisorGraph:
-    """Divisor graph on 1..size-1 as successor maps.
+def self_loop(M: FiniteModule) -> tuple[int, int] | None:
+    """The least nonunit b with bx = x for some x != 0, then the least such x; None if there is none.
 
-    succ[x][y] is the least nonunit scalar r with x = r*y != 0. The keys of
-    each succ[x] ascend, and succ[0] is empty: node 0 is not in the graph.
+    bx = x is (b-1)x = 0, so b-1 is a nonunit (a unit kills no x != 0) and
+    its row of ``act_table`` has a zero past x = 0. A nonunit may still act
+    injectively on M, so the row is read, not assumed.
     """
-
-    __slots__ = ("succ",)
-
-    def __init__(self, succ: list[dict[int, int]]):
-        self.succ = succ
-
-    def number_of_edges(self) -> int:
-        return sum(map(len, self.succ))
-
-
-def divisor_graph_over(columns: Iterable[Iterable[int]], size: int, desc: list[int]) -> DivisorGraph:
-    """Edge x -> y labeled r, the least scalar in desc with x = r*y != 0.
-
-    desc lists the nonunit scalars in descending order and column y lists
-    r*y for r in desc, so a later, smaller scalar overwrites a larger one.
-    """
-    succ: list[dict[int, int]] = [{} for _ in range(size)]
-    for y, column in enumerate(columns):
-        first = dict(zip(column, desc))
-        first.pop(0, None)
-        for x, r in first.items():
-            succ[x][y] = r
-    return DivisorGraph(succ)
-
-
-ON_PATH = -2  # search's height mark for nodes on the current path
-
-
-def search(G: DivisorGraph, starts: Iterable[int], outside: Iterable[int] = ()) -> tuple:
-    """One depth-first search of G from each unfinished start, in order.
-
-    Successors are taken in ascending order and finished nodes are skipped;
-    reported witnesses depend on that order. Nodes in ``outside`` count as
-    finished sinks of height -1, so the search neither enters nor counts them.
-
-    Returns (witness, height): the first cycle met as {"cycle": nodes,
-    "labels": scalars} with cycle[k] = labels[k] * cycle[k+1], or None and
-    then height[v], the most edges on a path from v, for each v reached.
-    """
-    succ = G.succ
-    height: list = [None] * len(succ)
-    for v in outside:
-        height[v] = -1
-    for s in starts:
-        if height[s] is not None:
-            continue
-        height[s] = ON_PATH
-        path, its = [s], [iter(succ[s])]
-        while path:
-            for y in its[-1]:
-                if height[y] is None:
-                    height[y] = ON_PATH
-                    path.append(y)
-                    its.append(iter(succ[y]))
-                    break
-                if height[y] == ON_PATH:
-                    cycle = path[path.index(y):]
-                    labels = [succ[u][v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-                    return {"cycle": cycle, "labels": labels}, height
-            else:
-                v = path.pop()
-                its.pop()
-                height[v] = 1 + max(map(height.__getitem__, succ[v]), default=-1)
-    return None, height
-
-
-def module_divisor_graph(M: FiniteModule) -> DivisorGraph:
-    if "divisor_graph" not in M._cache:
-        desc = sorted(nonunits(M.ring), reverse=True)
-        columns = zip(*(M.act_table[r] for r in desc))
-        M._cache["divisor_graph"] = divisor_graph_over(columns, M.size, desc)
-    return M._cache["divisor_graph"]
+    R = M.ring
+    nus = nonunits(R)
+    less_one = R.add_table[R.neg(R.one)]  # less_one[b] = b - 1
+    for b in range(R.size):
+        c = less_one[b]
+        if b in nus and c in nus and M.act_table[c].count(M.zero) > 1:
+            return b, M.act_table[c].index(M.zero, 1)
+    return None
 
 
 def is_bfm(M: FiniteModule) -> tuple[bool, dict]:
-    """Bounded-factorization property, via acyclicity of the divisor graph.
+    """Bounded-factorization property: no x = bx with x != 0 and b a nonunit.
 
-    Witness: a reachable cycle when unbounded, otherwise the per-element
-    bound vector (longest path counts the nonunit scalars consumed).
+    A cycle x_0 = r_1 x_1, ..., x_k = x_0 of nonunit scalars gives
+    x_0 = (r_1 ... r_k) x_0, and that product is a nonunit, so a cycle exists
+    iff a self-loop does. The witness names it as {"cycle": [x], "labels": [b]}.
     """
-    witness, height = search(module_divisor_graph(M), range(1, M.size))
-    if witness:
-        return False, witness
-    return True, {"bounds": {x: height[x] for x in range(1, M.size)}}
-
-
-def bfm_bounds_oracle(M: FiniteModule) -> dict:
-    """Depth-capped brute force, for |R||M| <= 1024; complete by pigeonhole on suffix values.
-
-    Returns per nonzero element the max chain length, None for unbounded.
-    """
-    if M.ring.size * M.size > 1024:
-        raise CapacityExceeded("bfm oracle capped")
-    rows = [M.act_table[r] for r in sorted(nonunits(M.ring))]
-    depth_cap = M.size + 1
-    reach = {x: 0 for x in range(1, M.size)}
-    layer = set(range(1, M.size))
-    for k in range(1, depth_cap + 1):
-        layer = {x for row in rows for x in map(row.__getitem__, layer)} - {M.zero}
-        for x in layer:
-            reach[x] = k
-        if not layer:
-            break
-    return {x: (None if v >= depth_cap else v) for x, v in reach.items()}
+    loop = self_loop(M)
+    if loop is None:
+        return True, {}
+    b, x = loop
+    return False, {"cycle": [x], "labels": [b]}
 
 
 def check_module_axioms(M: FiniteModule) -> None:

@@ -233,9 +233,11 @@ def _is_atom(R: FiniteRing, rep: list[int], f: int) -> bool:
 def recheck_report(report: dict, *, cap: int = DEFAULT_SIZE_CAP) -> list[str]:
     """Rebuild the ring from the report's spec and re-validate witnesses.
 
-    Returns a list of failure descriptions (empty means everything replays).
+    Returns a list of failure descriptions (empty means everything replays
+    and no implication between the verdicts is broken).
     """
-    failures = []
+    # a corpus row carries more keys than a report; a missing one is a KeyError
+    failures = PropertyReport(**{f.name: report[f.name] for f in fields(PropertyReport)}).violations()
     R = build_ring(parse_spec(report["spec"]), cap=cap)
     if report["size"] != R.size:
         failures.append("size mismatch")

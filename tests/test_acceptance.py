@@ -13,16 +13,13 @@ import pytest
 
 from ringlab.factor import (
     atoms,
-    bf_lengths_oracle,
     bouvier_class,
     check_prop_bfr,
     check_theorem_ufr,
     divisor_graph,
     is_bfr,
     is_presimplifiable,
-    is_ufr_bouvier,
     is_ufr_direct,
-    max_factorization_length,
     u_boundedness_of_zero,
 )
 from ringlab.blockalg import verify_example25
@@ -35,6 +32,8 @@ from ringlab.idealization import (
 )
 from ringlab.rings import is_reduced, is_unit, min_primes, nonunits
 from ringlab.specparse import build_module, build_ring, parse_module_spec, parse_spec
+
+from oracles import bf_lengths_oracle, is_ufr_bouvier, max_factorization_length
 
 # the size-8 local ring with square-zero maximal ideal used as the third
 # classification witness (not a field, not an SPIR)

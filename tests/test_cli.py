@@ -169,6 +169,30 @@ def test_recheck_detects_tampering(tmp_path, capsys):
     assert json.loads(out)["report"]["failures"]
 
 
+def test_recheck_fails_a_report_that_breaks_an_implication(tmp_path, capsys):
+    # 3 * 3 = 3 keeps Z6 from being presimplifiable, so a BFR claim with no cycle breaks BFR => presimplifiable
+    _, out = run(capsys, "analyze", "Z6")
+    payload = json.loads(out)
+    payload["report"].update(bfr=True, bfr_witness=None)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out = run(capsys, "recheck", str(bad))
+    assert code == 2
+    assert json.loads(out)["report"]["failures"] == [{"spec": "Z6", "failure": "BFR but not presimplifiable"}]
+
+
+def test_recheck_needs_every_report_field(tmp_path, capsys):
+    cfg = tmp_path / "corpus.txt"
+    cfg.write_text("Z6\nZ8\n")
+    _, out = run(capsys, "corpus", str(cfg))
+    payload = json.loads(out)
+    del payload["report"]["rows"][1]["atomic"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["recheck", str(bad)]) == 1
+    assert _error_kind(capsys) == "RinglabError"
+
+
 def _error_kind(capsys) -> str:
     return json.loads(capsys.readouterr().err)["kind"]
 
@@ -270,7 +294,7 @@ def test_recheck_bad_input_exit_1_typed(tmp_path, capsys, content):
 
 def test_cross_check_failure_is_a_theorem_violation(monkeypatch, capsys):
     from ringlab import factor
-    from ringlab.modules import DivisorGraph
+    from ringlab.factor import DivisorGraph
 
     # a graph with no edges loses the self-loop a -> a labeled b of 3 = 3 * 3 in Z6
     monkeypatch.setattr(factor, "divisor_graph", lambda R: DivisorGraph([{} for _ in range(R.size)]))

@@ -2,25 +2,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.errors import InvalidQuery, UnboundedElement
+from ringlab.errors import InvalidQuery
 from ringlab.factor import (
     associate_class_rep,
     associates,
-    atom_factorizations,
     atoms,
-    bf_lengths_oracle,
     bouvier_class,
     is_accp,
     is_atom,
     is_atomic,
     is_bfr,
     is_presimplifiable,
-    is_ufr_bouvier,
     is_ufr_direct,
-    max_factorization_length,
     u_boundedness_of_zero,
 )
 from ringlab.rings import is_unit, make_polyquot, make_product, make_zn, nonunits
+from oracles import (
+    UnboundedElement,
+    atom_factorizations,
+    bf_lengths_oracle,
+    is_ufr_bouvier,
+    max_factorization_length,
+)
 from test_acceptance import RING_SPECS, ring
 from test_class_oracles import reference_minimal_factorizations_of_zero
 

