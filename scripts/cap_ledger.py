@@ -1,0 +1,81 @@
+"""Time `ringlab analyze` on one ring per hard family, at the largest n <= 4096.
+
+    python3 scripts/cap_ledger.py [--deadline 60]
+
+Each family's ring runs in a fresh child process under the deadline. One
+row per family gives the wall time, the child's peak RSS and its exit code
+(0 a report, 3 a capacity limit, "timeout" when the deadline killed it).
+``getrusage(RUSAGE_CHILDREN)`` keeps the largest RSS of any child waited
+for, so each family is measured from a one-family ledger process of its own
+(``--one SPEC``). ringlab is imported from the ``src/`` beside this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from ringlab.specparse import parse_spec, size_estimate  # noqa: E402
+
+FAMILIES = [
+    "Z4096",
+    "Z2[t]/(t^12)",
+    "idealize(Z64,self)",
+    "idealize(Z2,free(11))",
+    " x ".join(["Z2"] * 12),
+    " x ".join(["Z3"] * 7),
+    " x ".join(["Z4"] * 6),
+    " x ".join(["Z8"] * 4),
+    "Z4 x Z16 x Z16 x Z4",
+    "Z64 x Z64",
+    "Z2 x Z3 x Z5 x Z7 x Z11",
+]
+
+
+def measure(spec: str, deadline: float) -> dict:
+    """Run `ringlab analyze spec` in a child; this process must have waited for no other child."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "ringlab.cli", "analyze", spec]
+    t0 = time.perf_counter()
+    try:
+        code = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+                              timeout=deadline).returncode
+    except subprocess.TimeoutExpired:
+        code = "timeout"
+    wall = time.perf_counter() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KB on Linux
+    return {"spec": spec, "wall_s": round(wall, 2), "peak_rss_mb": round(peak_mb), "exit": code}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--deadline", type=float, default=60.0, help="seconds per family (default 60)")
+    ap.add_argument("--one", metavar="SPEC", help="measure this ring alone and print one JSON line")
+    args = ap.parse_args()
+    if args.one is not None:
+        print(json.dumps(measure(args.one, args.deadline)))
+        return 0
+
+    print("| ring | n | wall | peak RSS | exit |")
+    print("|---|---|---|---|---|")
+    for spec in FAMILIES:
+        out = subprocess.run([sys.executable, __file__, "--one", spec, "--deadline", str(args.deadline)],
+                             capture_output=True, text=True, check=True).stdout
+        row = json.loads(out)
+        wall = f"{row['wall_s']:.2f} s" if row["exit"] != "timeout" else f"> {args.deadline:g} s"
+        print(f"| `{spec}` | {size_estimate(parse_spec(spec))} | {wall} | {row['peak_rss_mb']} MB | {row['exit']} |",
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

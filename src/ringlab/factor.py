@@ -5,23 +5,24 @@ respects associates, so each is decided once per class, on its least
 element (a value of ``principal_ideals``), and a witness is the least
 element of its class. The divisor graph has an edge a -> t labeled s iff
 a = s*t for a nonunit s, so aR lies in tR and a cycle is a class self-loop
-x ~ s*x, that is ba = a. It is built only to name a cycle of a ring that
-is not BFR. Zero is excluded here and left to the minimal-factorization
-search.
+x ~ s*x, that is ba = a. A ring that is not BFR names its cycle by a
+search that reads each node's successors only when it enters the node;
+``divisor_graph`` builds the whole graph for the tests and the tracer.
+Zero is excluded here and left to the minimal-factorization search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import CapacityExceeded, InvalidQuery, TheoremViolation
 from .idealization import idealize
-from .modules import FiniteModule, is_accc, is_bfm, is_semisimple, make_self_module, self_loop
+from .modules import FiniteModule, is_bfm, is_semisimple, make_self_module, self_loop
 from .rings import (
     FiniteRing,
     associate_class_rep,
     chain_height,
+    gather,
     ideal_product,
     is_field,
     is_local,
@@ -32,30 +33,13 @@ from .rings import (
     min_primes,
     nonunits,
     principal_ideals,
-    units,
 )
 
 # search nodes minimal_factorizations_of_zero may visit before CapacityExceeded
 ZERO_SEARCH_BUDGET = 2_000_000
 
 # ---------------------------------------------------------------------------
-# associates and atoms
-
-
-def associates(R: FiniteRing, a: int, b: int) -> bool:
-    rep = associate_class_rep(R)
-    return rep[a] == rep[b]
-
-
-def is_atom(R: FiniteRing, a: int) -> bool:
-    """The definition, element by element; ``atoms`` must agree with it."""
-    if is_unit(R, a):
-        raise InvalidQuery("atoms are nonunits")
-    for b in R.elements():
-        for c in R.elements():
-            if R.mul(b, c) == a and not (associates(R, a, b) or associates(R, a, c)):
-                return False
-    return True
+# atoms
 
 
 def _nonunit_reps(R: FiniteRing) -> list[int]:
@@ -138,7 +122,7 @@ def divisor_graph(R: FiniteRing) -> DivisorGraph:
     """Nodes: nonzero elements. Edge a -> t labeled s iff a = s*t, s nonunit.
 
     A unit t has no out-edges (t = s*u would put t in the proper ideal sR),
-    so searches of the nonunit part pass the units as ``outside``.
+    so a search of the nonunit part counts the units as finished.
     """
     if "divisor_graph" not in R._cache:
         desc = sorted(nonunits(R), reverse=True)
@@ -153,47 +137,6 @@ def divisor_graph(R: FiniteRing) -> DivisorGraph:
     return R._cache["divisor_graph"]
 
 
-ON_PATH = -2  # search's height mark for nodes on the current path
-
-
-def search(G: DivisorGraph, starts: Iterable[int], outside: Iterable[int] = ()) -> tuple:
-    """One depth-first search of G from each unfinished start, in order.
-
-    Successors are taken in ascending order and finished nodes are skipped;
-    reported witnesses depend on that order. Nodes in ``outside`` count as
-    finished sinks of height -1, so the search neither enters nor counts them.
-
-    Returns (witness, height): the first cycle met as {"cycle": nodes,
-    "labels": scalars} with cycle[k] = labels[k] * cycle[k+1], or None and
-    then height[v], the most edges on a path from v, for each v reached.
-    """
-    succ = G.succ
-    height: list = [None] * len(succ)
-    for v in outside:
-        height[v] = -1
-    for s in starts:
-        if height[s] is not None:
-            continue
-        height[s] = ON_PATH
-        path, its = [s], [iter(succ[s])]
-        while path:
-            for y in its[-1]:
-                if height[y] is None:
-                    height[y] = ON_PATH
-                    path.append(y)
-                    its.append(iter(succ[y]))
-                    break
-                if height[y] == ON_PATH:
-                    cycle = path[path.index(y):]
-                    labels = [succ[u][v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-                    return {"cycle": cycle, "labels": labels}, height
-            else:
-                v = path.pop()
-                its.pop()
-                height[v] = 1 + max(map(height.__getitem__, succ[v]), default=-1)
-    return None, height
-
-
 def _nonunit_starts(R: FiniteRing) -> list[int]:
     """The nonzero nonunits in the order the reported BFR witnesses were found in.
 
@@ -204,13 +147,61 @@ def _nonunit_starts(R: FiniteRing) -> list[int]:
     return list(set(nus)) if 2 * len(nus) < R.size - 1 else nus
 
 
+def first_cycle(R: FiniteRing) -> dict | None:
+    """The first cycle a depth-first search of the nonunit part of the divisor graph meets,
+    as {"cycle": nodes, "labels": scalars} with cycle[k] = labels[k] * cycle[k+1]; None if it is acyclic.
+
+    The search is the one the graph's successor maps would drive: starts in
+    ``_nonunit_starts`` order, successors ascending, finished nodes skipped.
+    The successors of y, the nonzero nonunits t with y in t*nonunits, are
+    read only when the search takes them, each t*nonunits once per ring, and
+    labels only for the cycle returned.
+    """
+    nus = sorted(nonunits(R))
+    times = gather(nus)
+    multiples: dict[int, frozenset] = {}
+
+    def successors(y: int):
+        for t in nus[1:]:
+            if t not in multiples:
+                multiples[t] = frozenset(times(R.mul_table[t]))
+            if y in multiples[t]:
+                yield t
+
+    done, on_path = set(), set()
+    for s in _nonunit_starts(R):
+        if s in done:
+            continue
+        on_path.add(s)
+        path, its = [s], [successors(s)]
+        while path:
+            for y in its[-1]:
+                if y in on_path:
+                    cycle = path[path.index(y):]
+                    # the least nonunit s with s*t = u, for each edge u -> t
+                    labels = [next(b for b in nus if R.mul_table[t][b] == u)
+                              for u, t in zip(cycle, cycle[1:] + cycle[:1])]
+                    return {"cycle": cycle, "labels": labels}
+                if y not in done:
+                    on_path.add(y)
+                    path.append(y)
+                    its.append(successors(y))
+                    break
+            else:
+                v = path.pop()
+                its.pop()
+                on_path.discard(v)
+                done.add(v)
+    return None
+
+
 def is_bfr(R: FiniteRing) -> tuple[bool, dict]:
     """BFR iff no class has a self-loop x ~ s*x, s a nonunit; only then is a graph cycle named."""
     if "bfr" not in R._cache:
         rep = associate_class_rep(R)
         reps = _nonunit_reps(R)
         loop = any(rep[R.mul_table[s][x]] == x for x in reps[1:] for s in reps)
-        witness = search(divisor_graph(R), _nonunit_starts(R), units(R))[0] if loop else None
+        witness = first_cycle(R) if loop else None
         # ba = a is the same self-loop, and a self-loop is a cycle
         if loop == is_presimplifiable(R)[0] or loop != (witness is not None):
             raise TheoremViolation(f"BFR cross-check failed on {R.label}")
@@ -432,18 +423,3 @@ def check_lemma_ubounded(R: FiniteRing) -> UboundedLemmaReport:
     _, maxlen, _ = u_boundedness_of_zero(R)
     holds = (maxlen <= nmin) if reduced else None
     return UboundedLemmaReport(reduced, nmin, maxlen, holds)
-
-
-def check_theorem_accp(R: FiniteRing, M: FiniteModule) -> dict:
-    """ACCP(R(+)M) <=> ACCP(R) and ACCC(M); vacuously true at finite scale."""
-    T = idealize(R, M)
-    accp_T, height_T = is_accp(T)
-    accp_R, height_R = is_accp(R)
-    accc_M, height_M = is_accc(M)
-    return {
-        "accp_T": accp_T,
-        "accp_R": accp_R,
-        "accc_M": accc_M,
-        "equivalence_holds": accp_T == (accp_R and accc_M),
-        "heights": {"T": height_T, "R": height_R, "M": height_M},
-    }

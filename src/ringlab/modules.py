@@ -11,11 +11,10 @@ from __future__ import annotations
 from array import array
 from typing import Iterable
 
-from .errors import CapacityExceeded, InvalidConstruction
+from .errors import InvalidConstruction
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
-    chain_height,
     check_size,
     coset_classes,
     digitwise,
@@ -94,10 +93,6 @@ def cyclic_submodule(M: FiniteModule, x: int) -> frozenset:
     return frozenset(row[x] for row in M.act_table)
 
 
-def annihilator_of(M: FiniteModule, x: int) -> frozenset:
-    return frozenset(r for r, row in enumerate(M.act_table) if row[x] == M.zero)
-
-
 def quotient_module(M: FiniteModule, gens: Iterable[int]) -> FiniteModule:
     N = submodule_generated(M, gens)
     cls, reps = coset_classes(M.add_table, N)
@@ -126,27 +121,8 @@ def is_semisimple(M: FiniteModule) -> bool:
     return all(M.act_table[r].count(M.zero) == M.size for r in jacobson_radical(M.ring))
 
 
-def is_semisimple_oracle(M: FiniteModule) -> bool:
-    """Definitional check, for |R||M| <= 4096: the simple submodules sum to M."""
-    if M.ring.size * M.size > 4096:
-        raise CapacityExceeded("semisimple oracle capped")
-    simples = []
-    for x in M.elements():
-        N = cyclic_submodule(M, x)
-        if len(N) == 1:
-            continue
-        if all(cyclic_submodule(M, y) == N for y in N if y != M.zero):
-            simples.append(N)
-    return len(subgroup_span(M.add_table, simples)) == M.size
-
-
 # ---------------------------------------------------------------------------
-# chain conditions and bounded factorization
-
-
-def is_accc(M: FiniteModule) -> tuple[bool, int]:
-    """Always true at finite scale; returns the cyclic-submodule chain height."""
-    return True, max(chain_height(map(frozenset, zip(*M.act_table))).values())  # column x is Rx
+# bounded factorization
 
 
 def self_loop(M: FiniteModule) -> tuple[int, int] | None:
@@ -178,24 +154,3 @@ def is_bfm(M: FiniteModule) -> tuple[bool, dict]:
         return True, {}
     b, x = loop
     return False, {"cycle": [x], "labels": [b]}
-
-
-def check_module_axioms(M: FiniteModule) -> None:
-    """Exhaustive module axiom check, for |R||M| <= 4096; raises on failure."""
-    if M.ring.size * M.size > 4096:
-        raise CapacityExceeded("module axiom check capped")
-    R = M.ring
-    for x in M.elements():
-        assert M.add(x, M.zero) == x
-        assert M.add(x, M.neg(x)) == M.zero
-        assert M.act(R.one, x) == x
-        for y in M.elements():
-            assert M.add(x, y) == M.add(y, x)
-    for r in R.elements():
-        for s in R.elements():
-            for x in M.elements():
-                assert M.act(R.add(r, s), x) == M.add(M.act(r, x), M.act(s, x))
-                assert M.act(R.mul(r, s), x) == M.act(r, M.act(s, x))
-        for x in M.elements():
-            for y in M.elements():
-                assert M.act(r, M.add(x, y)) == M.add(M.act(r, x), M.act(r, y))

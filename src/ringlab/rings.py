@@ -315,9 +315,18 @@ def quotient_ring(R: FiniteRing, I: Iterable[int]) -> FiniteRing:
 
 
 def units(R: FiniteRing) -> frozenset:
+    """The a whose row holds one: the 2-byte entry ``one`` at an even byte offset of the row's bytes."""
     if "units" not in R._cache:
-        one = R.one
-        R._cache["units"] = frozenset(a for a, row in enumerate(R.mul_table) if one in row)
+        one = array("H", [R.one]).tobytes()
+
+        def holds_one(row: array) -> bool:
+            data = row.tobytes()
+            at = data.find(one)
+            while at > 0 and at & 1:  # a hit across two entries
+                at = data.find(one, at + 1)
+            return at >= 0
+
+        R._cache["units"] = frozenset(compress(R.elements(), map(holds_one, R.mul_table)))
     return R._cache["units"]
 
 
@@ -326,7 +335,9 @@ def is_unit(R: FiniteRing, a: int) -> bool:
 
 
 def nonunits(R: FiniteRing) -> frozenset:
-    return frozenset(R.elements()) - units(R)
+    if "nonunits" not in R._cache:
+        R._cache["nonunits"] = frozenset(R.elements()) - units(R)
+    return R._cache["nonunits"]
 
 
 def principal_ideal(R: FiniteRing, a: int) -> frozenset:
@@ -335,10 +346,22 @@ def principal_ideal(R: FiniteRing, a: int) -> frozenset:
 
 
 def principal_ideals(R: FiniteRing) -> dict[frozenset, int]:
-    """Each distinct principal ideal aR, mapped to its least generator, from one sweep per ring."""
+    """Each distinct principal ideal aR, mapped to its least generator, one row read per class.
+
+    aR = bR gives b = ua for a unit u in a finite ring, so the class of a is
+    the orbit U*a, read from row a at the units; a = 0, 1, ... in turn, and
+    each a no earlier orbit holds starts a class.
+    """
     if "principal_ideals" not in R._cache:
+        orbit = gather(sorted(units(R)))
+        rep = [-1] * R.size
         found: dict[frozenset, int] = {}
-        R._cache["associate_rep"] = [found.setdefault(m, a) for a, m in enumerate(map(frozenset, R.mul_table))]
+        for a, row in enumerate(R.mul_table):
+            if rep[a] < 0:
+                for b in orbit(row):
+                    rep[b] = a
+                found[frozenset(row)] = a
+        R._cache["associate_rep"] = rep
         R._cache["principal_ideals"] = found
     return R._cache["principal_ideals"]
 
@@ -351,10 +374,6 @@ def associate_class_rep(R: FiniteRing) -> list[int]:
 
 def generated_ideal(R: FiniteRing, gens: Iterable[int]) -> frozenset:
     return subgroup_span(R.add_table, (principal_ideal(R, g) for g in gens))
-
-
-def ideal_sum(R: FiniteRing, I: frozenset, J: frozenset) -> frozenset:
-    return subgroup_sum(R.add_table, I, J)
 
 
 def ideal_product(R: FiniteRing, I: frozenset, J: frozenset) -> frozenset:
@@ -383,28 +402,30 @@ def is_prime_ideal(R: FiniteRing, I: frozenset) -> bool:
 
 
 def maximal_ideals(R: FiniteRing) -> list[frozenset]:
+    """The maximal members of {ann(x) : x != 0}, one x per associate class (ann(ux) = ann(x)),
+    smallest first, ties broken by the sorted members.
+
+    In a finite (Artin) ring these are the maximal ideals. Cross-check: each
+    is prime and together they cover the nonunits, so by prime avoidance
+    every maximal ideal, which lies among the nonunits, is one of them.
+    """
     if "maximal_ideals" not in R._cache:
-        lattice = all_ideals(R)
-        proper = [I for I in lattice if len(I) < R.size]
-        # larger ideals first: an ideal that is not maximal lies in a maximal one already found
+        anns = {annihilator(R, x) for x in principal_ideals(R).values() if x != R.zero}
+        # larger ones first: an annihilator that is not maximal lies in a maximal one already found
         maxi: list[frozenset] = []
-        for I in reversed(proper):
+        for I in sorted(anns, key=len, reverse=True):
             if not any(I < J for J in maxi):
                 maxi.append(I)
-        maxi.reverse()
-        primes = [I for I in lattice if is_prime_ideal(R, I)]
-        minp = [I for I in primes if not any(J < I for J in primes)]
-        # dimension zero: both computations must agree on finite rings
-        if set(maxi) != set(minp):
-            raise TheoremViolation(f"maximal/min-prime mismatch on {R.label}")
+        maxi.sort(key=lambda m: (len(m), sorted(m)))
+        if not all(is_prime_ideal(R, I) for I in maxi) or frozenset().union(*maxi) != nonunits(R):
+            raise TheoremViolation(f"maximal ideals cross-check failed on {R.label}")
         R._cache["maximal_ideals"] = maxi
-        R._cache["min_primes"] = minp
     return R._cache["maximal_ideals"]
 
 
 def min_primes(R: FiniteRing) -> list[frozenset]:
-    maximal_ideals(R)
-    return R._cache["min_primes"]
+    """The maximal ideals: every prime of a finite ring is maximal (dimension zero)."""
+    return maximal_ideals(R)
 
 
 def nilradical(R: FiniteRing) -> frozenset:
@@ -426,19 +447,20 @@ def jacobson_radical(R: FiniteRing) -> frozenset:
 
 
 def annihilator(R: FiniteRing, a: int) -> frozenset:
-    return frozenset(b for b, ab in enumerate(R.mul_table[a]) if ab == R.zero)
+    return frozenset(compress(R.elements(), map(not_, R.mul_table[a])))
 
 
 def is_local(R: FiniteRing) -> bool:
     if "is_local" not in R._cache:
-        via_lattice = len(maximal_ideals(R)) == 1
-        # cross-check, once per ring: local iff the nonunits are closed under addition
+        via_annihilators = len(maximal_ideals(R)) == 1
+        # cross-check, once per ring: local iff the nonunits are closed under addition;
+        # nu + r inside nu gives nu + ur = u(nu + r) inside nu, so one r per class is read
         nu = nonunits(R)
         at = R.add_table
-        closed = all(nu.issuperset(map(at[a].__getitem__, nu)) for a in nu)
-        if via_lattice != closed:
+        closed = all(nu.issuperset(map(at[r].__getitem__, nu)) for r in principal_ideals(R).values() if r in nu)
+        if via_annihilators != closed:
             raise TheoremViolation(f"is_local cross-check failed on {R.label}")
-        R._cache["is_local"] = via_lattice
+        R._cache["is_local"] = via_annihilators
     return R._cache["is_local"]
 
 
@@ -458,34 +480,6 @@ def is_field(R: FiniteRing) -> bool:
 
 
 def is_spir(R: FiniteRing) -> bool:
-    """Special principal ideal ring: local, all ideals principal, m nilpotent."""
-    if not is_local(R):
-        return False
-    pids = principal_ideals(R)
-    if any(I not in pids for I in all_ideals(R)):
-        return False
-    m = maximal_ideal(R)
-    p = m
-    for _ in range(R.size):
-        if p == {R.zero}:
-            return True
-        p = ideal_product(R, p, m)
-    return p == {R.zero}
-
-
-def check_ring_axioms(R: FiniteRing) -> None:
-    """Exhaustive commutative-ring axiom check, for |R| <= 64; raises on failure."""
-    if R.size > 64:
-        raise CapacityExceeded("axiom check capped at size 64")
-    els = list(R.elements())
-    for a in els:
-        assert R.add(a, R.zero) == a
-        assert R.add(a, R.neg(a)) == R.zero
-        assert R.mul(a, R.one) == a
-        for b in els:
-            assert R.add(a, b) == R.add(b, a)
-            assert R.mul(a, b) == R.mul(b, a)
-            for c in els:
-                assert R.add(R.add(a, b), c) == R.add(a, R.add(b, c))
-                assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
-                assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
+    """Special principal ideal ring: local with m principal, so every ideal is a power of m
+    (Atiyah-Macdonald 8.8); m is nilpotent in any finite local ring."""
+    return is_local(R) and maximal_ideal(R) in principal_ideals(R)

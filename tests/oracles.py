@@ -1,18 +1,98 @@
-"""Factorization references that only the tests call.
+"""References that only the tests call.
 
 Factorization lengths of single elements come from a depth-first search
-of the element divisor graph; the brute-force oracles layer products of
-exactly k nonunits instead. The module divisor graph and its search
-heights are the reference for ``modules.is_bfm``, which decides BFM by a
-self-loop scan: ``reference_is_bfm`` returns the graph's first cycle, or
-the longest chain of nonunit scalars below each nonzero element.
-``is_ufr_bouvier`` reads Bouvier's classification as a UFR verdict.
+(``search``) of the element divisor graph; the brute-force oracles layer
+products of exactly k nonunits instead. The same search over the whole
+graph is the reference for ``factor.is_bfr``, whose cycle finder reads a
+node's successors only when it enters the node. The module divisor graph
+and its search heights are the reference for ``modules.is_bfm``, which
+decides BFM by a self-loop scan: ``reference_is_bfm`` returns the graph's
+first cycle, or the longest chain of nonunit scalars below each nonzero
+element. ``is_ufr_bouvier`` reads Bouvier's classification as a UFR
+verdict.
+
+The structure references are the routines the associate-class pass
+replaced: principal ideals from one frozenset per row, maximal ideals and
+minimal primes read off the whole ideal lattice, locality by the
+nonunits' closure under every sum, and SPIR as "every ideal is
+principal". The definitional checks (ring and module axioms, atoms,
+semisimplicity, ACCP and ACCC) close the file.
 """
 
-from ringlab.errors import CapacityExceeded, InvalidQuery, RinglabError
-from ringlab.factor import DivisorGraph, _atom_multisets, bouvier_class, divisor_graph, search
-from ringlab.modules import FiniteModule
-from ringlab.rings import FiniteRing, is_unit, nonunits, units
+from typing import Iterable
+
+from ringlab.errors import CapacityExceeded, InvalidQuery, RinglabError, TheoremViolation
+from ringlab.factor import (
+    DivisorGraph,
+    _atom_multisets,
+    _nonunit_starts,
+    bouvier_class,
+    divisor_graph,
+    is_accp,
+)
+from ringlab.idealization import idealize
+from ringlab.modules import FiniteModule, cyclic_submodule
+from ringlab.rings import (
+    FiniteRing,
+    all_ideals,
+    associate_class_rep,
+    chain_height,
+    ideal_product,
+    is_local,
+    is_prime_ideal,
+    is_unit,
+    maximal_ideal,
+    nonunits,
+    principal_ideals,
+    subgroup_span,
+    subgroup_sum,
+    units,
+)
+
+ON_PATH = -2  # search's height mark for nodes on the current path
+
+
+def search(G: DivisorGraph, starts: Iterable[int], outside: Iterable[int] = ()) -> tuple:
+    """One depth-first search of G from each unfinished start, in order.
+
+    Successors are taken in ascending order and finished nodes are skipped;
+    reported witnesses depend on that order. Nodes in ``outside`` count as
+    finished sinks of height -1, so the search neither enters nor counts them.
+
+    Returns (witness, height): the first cycle met as {"cycle": nodes,
+    "labels": scalars} with cycle[k] = labels[k] * cycle[k+1], or None and
+    then height[v], the most edges on a path from v, for each v reached.
+    """
+    succ = G.succ
+    height: list = [None] * len(succ)
+    for v in outside:
+        height[v] = -1
+    for s in starts:
+        if height[s] is not None:
+            continue
+        height[s] = ON_PATH
+        path, its = [s], [iter(succ[s])]
+        while path:
+            for y in its[-1]:
+                if height[y] is None:
+                    height[y] = ON_PATH
+                    path.append(y)
+                    its.append(iter(succ[y]))
+                    break
+                if height[y] == ON_PATH:
+                    cycle = path[path.index(y):]
+                    labels = [succ[u][v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+                    return {"cycle": cycle, "labels": labels}, height
+            else:
+                v = path.pop()
+                its.pop()
+                height[v] = 1 + max(map(height.__getitem__, succ[v]), default=-1)
+    return None, height
+
+
+def reference_first_cycle(R: FiniteRing) -> dict | None:
+    """The cycle ``factor.is_bfr`` reported when it built the whole divisor graph."""
+    return search(divisor_graph(R), _nonunit_starts(R), units(R))[0]
 
 
 class UnboundedElement(RinglabError):
@@ -125,3 +205,162 @@ def reference_is_bfm(M: FiniteModule) -> tuple[bool, dict]:
 
 def is_ufr_bouvier(R: FiniteRing) -> bool:
     return bouvier_class(R) != "none"
+
+
+# ---------------------------------------------------------------------------
+# structure references
+
+
+def reference_units(R: FiniteRing) -> frozenset:
+    """The a whose row holds one, compared entry by entry."""
+    return frozenset(a for a, row in enumerate(R.mul_table) if R.one in row)
+
+
+def reference_principal_ideals(R: FiniteRing) -> tuple[dict[frozenset, int], list[int]]:
+    """(each distinct principal ideal -> its least generator, each element -> that generator),
+    from one frozenset per row."""
+    found: dict[frozenset, int] = {}
+    rep = [found.setdefault(m, a) for a, m in enumerate(map(frozenset, R.mul_table))]
+    return found, rep
+
+
+def reference_maximal_and_min_primes(R: FiniteRing) -> tuple[list[frozenset], list[frozenset]]:
+    """The maximal ideals and the minimal primes, both read off the whole ideal lattice."""
+    lattice = all_ideals(R)
+    proper = [I for I in lattice if len(I) < R.size]
+    # larger ideals first: an ideal that is not maximal lies in a maximal one already found
+    maxi: list[frozenset] = []
+    for I in reversed(proper):
+        if not any(I < J for J in maxi):
+            maxi.append(I)
+    maxi.reverse()
+    primes = [I for I in lattice if is_prime_ideal(R, I)]
+    minp = [I for I in primes if not any(J < I for J in primes)]
+    # dimension zero: both computations must agree on finite rings
+    if set(maxi) != set(minp):
+        raise TheoremViolation(f"maximal/min-prime mismatch on {R.label}")
+    return maxi, minp
+
+
+def reference_nonunits_closed(R: FiniteRing) -> bool:
+    """Local iff the nonunits are closed under addition, read over every pair of nonunits."""
+    nu = nonunits(R)
+    at = R.add_table
+    return all(nu.issuperset(map(at[a].__getitem__, nu)) for a in nu)
+
+
+def reference_is_spir(R: FiniteRing) -> bool:
+    """Special principal ideal ring: local, all ideals principal, m nilpotent."""
+    if not is_local(R):
+        return False
+    pids = principal_ideals(R)
+    if any(I not in pids for I in all_ideals(R)):
+        return False
+    m = maximal_ideal(R)
+    p = m
+    for _ in range(R.size):
+        if p == {R.zero}:
+            return True
+        p = ideal_product(R, p, m)
+    return p == {R.zero}
+
+
+def ideal_sum(R: FiniteRing, I: frozenset, J: frozenset) -> frozenset:
+    return subgroup_sum(R.add_table, I, J)
+
+
+def annihilator_of(M: FiniteModule, x: int) -> frozenset:
+    return frozenset(r for r, row in enumerate(M.act_table) if row[x] == M.zero)
+
+
+# ---------------------------------------------------------------------------
+# definitional checks
+
+
+def check_ring_axioms(R: FiniteRing) -> None:
+    """Exhaustive commutative-ring axiom check, for |R| <= 64; raises on failure."""
+    if R.size > 64:
+        raise CapacityExceeded("axiom check capped at size 64")
+    els = list(R.elements())
+    for a in els:
+        assert R.add(a, R.zero) == a
+        assert R.add(a, R.neg(a)) == R.zero
+        assert R.mul(a, R.one) == a
+        for b in els:
+            assert R.add(a, b) == R.add(b, a)
+            assert R.mul(a, b) == R.mul(b, a)
+            for c in els:
+                assert R.add(R.add(a, b), c) == R.add(a, R.add(b, c))
+                assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
+                assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
+
+
+def check_module_axioms(M: FiniteModule) -> None:
+    """Exhaustive module axiom check, for |R||M| <= 4096; raises on failure."""
+    if M.ring.size * M.size > 4096:
+        raise CapacityExceeded("module axiom check capped")
+    R = M.ring
+    for x in M.elements():
+        assert M.add(x, M.zero) == x
+        assert M.add(x, M.neg(x)) == M.zero
+        assert M.act(R.one, x) == x
+        for y in M.elements():
+            assert M.add(x, y) == M.add(y, x)
+    for r in R.elements():
+        for s in R.elements():
+            for x in M.elements():
+                assert M.act(R.add(r, s), x) == M.add(M.act(r, x), M.act(s, x))
+                assert M.act(R.mul(r, s), x) == M.act(r, M.act(s, x))
+        for x in M.elements():
+            for y in M.elements():
+                assert M.act(r, M.add(x, y)) == M.add(M.act(r, x), M.act(r, y))
+
+
+def associates(R: FiniteRing, a: int, b: int) -> bool:
+    rep = associate_class_rep(R)
+    return rep[a] == rep[b]
+
+
+def is_atom(R: FiniteRing, a: int) -> bool:
+    """The definition, element by element; ``atoms`` must agree with it."""
+    if is_unit(R, a):
+        raise InvalidQuery("atoms are nonunits")
+    for b in R.elements():
+        for c in R.elements():
+            if R.mul(b, c) == a and not (associates(R, a, b) or associates(R, a, c)):
+                return False
+    return True
+
+
+def is_semisimple_oracle(M: FiniteModule) -> bool:
+    """Definitional check, for |R||M| <= 4096: the simple submodules sum to M."""
+    if M.ring.size * M.size > 4096:
+        raise CapacityExceeded("semisimple oracle capped")
+    simples = []
+    for x in M.elements():
+        N = cyclic_submodule(M, x)
+        if len(N) == 1:
+            continue
+        if all(cyclic_submodule(M, y) == N for y in N if y != M.zero):
+            simples.append(N)
+    return len(subgroup_span(M.add_table, simples)) == M.size
+
+
+def is_accc(M: FiniteModule) -> tuple[bool, int]:
+    """Always true at finite scale; returns the cyclic-submodule chain height."""
+    return True, max(chain_height(map(frozenset, zip(*M.act_table))).values())  # column x is Rx
+
+
+def check_theorem_accp(R: FiniteRing, M: FiniteModule) -> dict:
+    """ACCP(R(+)M) <=> ACCP(R) and ACCC(M); vacuously true at finite scale."""
+    T = idealize(R, M)
+    accp_T, height_T = is_accp(T)
+    accp_R, height_R = is_accp(R)
+    accc_M, height_M = is_accc(M)
+    return {
+        "accp_T": accp_T,
+        "accp_R": accp_R,
+        "accc_M": accc_M,
+        "equivalence_holds": accp_T == (accp_R and accc_M),
+        "heights": {"T": height_T, "R": height_R, "M": height_M},
+    }

@@ -3,9 +3,17 @@
 The zero search tries one target length at a time and stops at its first
 hit; the reference lists every minimal factorization of 0. The prime test
 and the ideal product read one element of each associate class; the
-references read every element. Rings: the acceptance RING_SPECS, Z65..Z129
-and the idealizations of the PAIR_SPECS with at most 256 elements.
+references read every element. The classes are unit orbits, the maximal
+ideals are maximal annihilators, locality is checked on class
+representatives, SPIR is "m is principal" and the BFR cycle comes from a
+search that builds successors as it goes; the references are a frozenset
+per row, the whole ideal lattice, every pair of nonunits, "every ideal is
+principal" and a search of the whole divisor graph. Rings: the acceptance
+RING_SPECS, Z65..Z129 (Z65..Z199 for the structure pass) and the
+idealizations of the PAIR_SPECS with at most 256 elements.
 """
+
+import json
 
 import pytest
 
@@ -13,13 +21,35 @@ from ringlab.factor import (
     ZERO_SEARCH_BUDGET,
     _nonunit_reps,
     _principal_heights,
+    first_cycle,
+    is_bfr,
     minimal_factorizations_of_zero,
     u_boundedness_of_zero,
 )
 from ringlab.errors import CapacityExceeded
 from ringlab.idealization import idealize
-from ringlab.rings import all_ideals, ideal_product, is_prime_ideal
+from ringlab.rings import (
+    all_ideals,
+    associate_class_rep,
+    ideal_product,
+    is_local,
+    is_prime_ideal,
+    is_spir,
+    maximal_ideals,
+    min_primes,
+    nonunits,
+    principal_ideals,
+    units,
+)
 
+from oracles import (
+    reference_first_cycle,
+    reference_is_spir,
+    reference_maximal_and_min_primes,
+    reference_nonunits_closed,
+    reference_principal_ideals,
+    reference_units,
+)
 from test_acceptance import PAIR_SPECS, RING_SPECS, pair, ring
 from test_structure_oracles import reference_closure, reference_is_prime
 
@@ -27,6 +57,7 @@ IDEALIZATIONS = [(rs, ms) for rs, ms in PAIR_SPECS if ring(rs).size * pair(rs, m
 ZERO_SEARCH_RINGS = list(dict.fromkeys(
     RING_SPECS + [f"Z{n}" for n in range(65, 130)] + [f"idealize({rs},{ms})" for rs, ms in IDEALIZATIONS]
 ))
+STRUCTURE_RINGS = ZERO_SEARCH_RINGS + [f"Z{n}" for n in range(130, 200)]
 
 
 def reference_minimal_factorizations_of_zero(R):
@@ -83,3 +114,29 @@ def test_idealization_primes_and_products_match_references(ring_spec, module_spe
         for J in lattice:
             seed = {T.mul(a, b) for a in I for b in J}
             assert ideal_product(T, I, J) == reference_closure(T.add_table, seed)
+
+
+@pytest.mark.parametrize("spec", STRUCTURE_RINGS)
+def test_class_structure_matches_references(spec):
+    R = ring(spec)
+    assert R.size <= 256  # the references read the whole ideal lattice and divisor graph
+    assert units(R) == reference_units(R)
+    assert nonunits(R) == frozenset(R.elements()) - reference_units(R)
+    found, rep = reference_principal_ideals(R)
+    assert list(principal_ideals(R).items()) == list(found.items())
+    assert associate_class_rep(R) == rep
+    maxi, minp = reference_maximal_and_min_primes(R)
+    assert maximal_ideals(R) == maxi
+    assert min_primes(R) == minp
+    assert is_local(R) == reference_nonunits_closed(R)
+    assert is_spir(R) == reference_is_spir(R)
+    # byte-equal BFR witnesses, key order included
+    assert json.dumps(first_cycle(R)) == json.dumps(reference_first_cycle(R))
+    assert (first_cycle(R) is None) == is_bfr(R)[0]
+
+
+def test_units_skip_a_one_read_across_two_entries():
+    # row 2 of Z300 holds 298 = 0x012A then 0, whose bytes 2A 01 00 00 hold 01 00 at an odd offset
+    R = ring("Z300")
+    assert units(R) == reference_units(R)
+    assert 2 not in units(R)

@@ -294,10 +294,18 @@ def test_recheck_bad_input_exit_1_typed(tmp_path, capsys, content):
 
 def test_cross_check_failure_is_a_theorem_violation(monkeypatch, capsys):
     from ringlab import factor
-    from ringlab.factor import DivisorGraph
 
-    # a graph with no edges loses the self-loop a -> a labeled b of 3 = 3 * 3 in Z6
-    monkeypatch.setattr(factor, "divisor_graph", lambda R: DivisorGraph([{} for _ in range(R.size)]))
+    # a cycle finder that finds nothing loses the self-loop 3 = 3 * 3 of Z6
+    monkeypatch.setattr(factor, "first_cycle", lambda R: None)
+    assert main(["analyze", "Z6"]) == 2
+    assert _error_kind(capsys) == "TheoremViolation"
+
+
+def test_maximal_ideal_cross_check_failure_is_a_theorem_violation(monkeypatch, capsys):
+    from ringlab import rings
+
+    # the maximal annihilators of Z6, (2) and (3), are prime; a prime test that rejects them must fail
+    monkeypatch.setattr(rings, "is_prime_ideal", lambda R, I: False)
     assert main(["analyze", "Z6"]) == 2
     assert _error_kind(capsys) == "TheoremViolation"
 

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from ringlab.errors import InvalidQuery
 from ringlab.factor import (
     associate_class_rep,
-    associates,
     atoms,
     bouvier_class,
     is_accp,
-    is_atom,
     is_atomic,
     is_bfr,
     is_presimplifiable,
@@ -19,6 +17,8 @@ from ringlab.factor import (
 from ringlab.rings import is_unit, make_polyquot, make_product, make_zn, nonunits
 from oracles import (
     UnboundedElement,
+    associates,
+    is_atom,
     atom_factorizations,
     bf_lengths_oracle,
     is_ufr_bouvier,

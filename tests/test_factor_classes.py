@@ -9,10 +9,13 @@ atomicity, and atom multisets recursing over elements. Every result and
 witness must match.
 """
 
+import json
+
 import pytest
 
 from ringlab.factor import _atom_multisets, atoms, is_atomic, is_bfr, is_presimplifiable
-from ringlab.reports import analyze_ring
+from ringlab import reports
+from ringlab.reports import analyze_ring, recheck_report
 from ringlab.rings import associate_class_rep, is_local, nonunits
 from ringlab.specparse import build_ring, parse_spec
 
@@ -97,8 +100,19 @@ def test_class_passes_match_element_references(spec):
 
 @pytest.mark.parametrize("spec,local", [("Z8", True), ("idealize(Z4,self)", True),
                                         ("Z6", False), ("Z2 x Z4", False)])
-def test_analyze_builds_the_divisor_graph_only_without_bfr(spec, local):
+def test_analyze_and_recheck_skip_lattice_and_graph(monkeypatch, spec, local):
     R = build_ring(parse_spec(spec))
     assert is_local(R) == local
-    analyze_ring(R, spec)
-    assert ("divisor_graph" in R._cache) == (not local)
+    report = json.loads(json.dumps(analyze_ring(R, spec).to_dict()))  # as recheck reads a report file
+    rebuilt = []
+
+    def build_and_keep(*args, **kwargs):
+        rebuilt.append(build_ring(*args, **kwargs))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(reports, "build_ring", build_and_keep)
+    assert recheck_report(report) == []
+    assert len(rebuilt) == 1
+    for S in (R, *rebuilt):
+        assert "all_ideals" not in S._cache
+        assert "divisor_graph" not in S._cache

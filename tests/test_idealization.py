@@ -4,7 +4,6 @@ from ringlab.errors import CapacityExceeded, InvalidQuery, ScalarMismatch
 from ringlab.factor import (
     check_lemma_ubounded,
     check_prop_bfr,
-    check_theorem_accp,
     check_theorem_ufr,
 )
 from ringlab.idealization import (
@@ -15,7 +14,9 @@ from ringlab.idealization import (
     verify_unit_criterion,
 )
 from ringlab.modules import make_free, make_self_module, quotient_module, cyclic_submodule
-from ringlab.rings import check_ring_axioms, is_field, is_local, is_unit, make_zn, units
+from ringlab.rings import is_field, is_local, is_unit, make_zn, units
+
+from oracles import check_ring_axioms, check_theorem_accp
 
 
 def pair(T, M, r, x):

@@ -2,13 +2,9 @@ import pytest
 
 from ringlab.modules import (
     all_submodules,
-    annihilator_of,
-    check_module_axioms,
     cyclic_submodule,
-    is_accc,
     is_bfm,
     is_semisimple,
-    is_semisimple_oracle,
     make_free,
     make_self_module,
     quotient_module,
@@ -16,7 +12,14 @@ from ringlab.modules import (
 )
 from ringlab.rings import is_unit, make_zn
 
-from oracles import bfm_bounds_oracle, reference_is_bfm
+from oracles import (
+    annihilator_of,
+    bfm_bounds_oracle,
+    check_module_axioms,
+    is_accc,
+    is_semisimple_oracle,
+    reference_is_bfm,
+)
 from test_acceptance import PAIR_SPECS, pair
 
 
