@@ -325,7 +325,7 @@ def is_ufr_direct(R: FiniteRing) -> tuple[bool, dict]:
     for a in _nonunit_reps(R)[1:]:
         facs = _atom_multisets(R, a)
         if len(facs) != 1:
-            two = sorted(facs)[:2]
+            two = [list(m) for m in sorted(facs)[:2]]  # lists, as a JSON round trip gives them
             return False, {"reason": "non_unique", "element": a, "multisets": two}
     return True, {}
 

@@ -3,7 +3,9 @@
 Pair (r, x) is encoded as r*|M| + x; zero is (0,0) and unity (1,0). The
 four verifiers (units, ideal shape, prime criterion, ideal products) are
 exhaustive checks; on correct inputs they must return True, so any False
-is an implementation bug and carries the offending witness.
+is an implementation bug and carries the offending witness. The shape is
+checked on additive generators and the products on pairs of generating
+homogeneous ideals, which decide every case by bilinearity.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from .rings import (
     check_size,
     gather,
     ideal_product,
-    is_ideal,
     is_prime_ideal,
-    is_unit,
     multiples,
     pair_table,
     pair_vector,
     principal_ideals,
     subgroup_span,
+    subgroup_sum,
     units,
 )
 
@@ -67,13 +68,13 @@ def idealize(R: FiniteRing, M: FiniteModule, *, cap: int = DEFAULT_SIZE_CAP) -> 
 
 
 def verify_unit_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
-    """(r,x) is a unit of R(+)M iff r is a unit of R."""
+    """(r,x) is a unit of R(+)M iff r is a unit of R; the witness is the least pair misjudged."""
     T = idealize(R, M)
-    ru = units(R)
-    for a in T.elements():
+    misjudged = units(T).symmetric_difference(r * M.size + x for r in units(R) for x in M.elements())
+    if misjudged:
+        a = min(misjudged)
         r, x = divmod(a, M.size)
-        if is_unit(T, a) != (r in ru):
-            return False, {"pair": a, "r": r, "x": x}
+        return False, {"pair": a, "r": r, "x": x}
     return True, {}
 
 
@@ -85,38 +86,50 @@ def _acts_into(M: FiniteModule, I: frozenset, N: frozenset) -> bool:
     return all(N.issuperset(M.act_table[r]) for r in I)
 
 
-def _homogeneous_ideals(
-    R: FiniteRing, M: FiniteModule
-) -> list[tuple[frozenset, frozenset]]:
-    """All (I, N) with IM <= N; these are exactly the product-form ideals.
-
-    Non-product ideals of R(+)M also exist (e.g. <(2,1)> in Z4(+)Z4),
-    so the shape statement is checked on product sets, not asserted for
-    the whole lattice.
-    """
-    out = []
-    for I in all_ideals(R):
-        for N in all_submodules(M):
-            if _acts_into(M, I, N):
-                out.append((I, N))
-    return out
+def _additive_generators(add_table: list[array], S: frozenset) -> list[int]:
+    """The members of the subgroup S, in ascending order, that lie outside the subgroup
+    the earlier ones generate: together they generate S."""
+    gens: list[int] = []
+    span = frozenset({0})
+    for s in sorted(S):
+        if s not in span:
+            gens.append(s)
+            multiples_of_s = [0]
+            while (nxt := add_table[s][multiples_of_s[-1]]) != 0:
+                multiples_of_s.append(nxt)
+            span = subgroup_sum(add_table, span, frozenset(multiples_of_s))
+    return gens
 
 
 def verify_ideal_shape(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
-    """A product set I x N is an ideal of R(+)M exactly when IM <= N."""
+    """A product set I x N is an ideal of R(+)M exactly when IM <= N.
+
+    I x N is a subgroup, so it is an ideal iff the row of T at each additive
+    generator, (g, 0) for g generating I and (0, h) for h generating N, lies
+    in I x N (bilinearity): iff the row's first coordinates lie in I and its
+    second coordinates in N.
+    """
     T = idealize(R, M)
+    m = M.size
+    ideal_gens = {I: [g * m for g in _additive_generators(R.add_table, I)] for I in all_ideals(R)}
+    submodule_gens = {N: _additive_generators(M.add_table, N) for N in all_submodules(M)}
+    projections = {}  # s -> the first and the second coordinates of row s of T
+    for s in {s for gens in [*ideal_gens.values(), *submodule_gens.values()] for s in gens}:
+        row = set(T.mul_table[s])
+        projections[s] = (frozenset(t // m for t in row), frozenset(t % m for t in row))
     homogeneous = set()
-    for I in all_ideals(R):
-        for N in all_submodules(M):
-            shaped = _shape_members(M, I, N)
+    for I, gens_I in ideal_gens.items():
+        for N, gens_N in submodule_gens.items():
+            rows = map(projections.__getitem__, gens_I + gens_N)
+            closed = all(first <= I and second <= N for first, second in rows)
             expected = _acts_into(M, I, N)
-            if is_ideal(T, shaped) != expected:
+            if closed != expected:
                 return False, {
                     "I": sorted(I), "N": sorted(N),
                     "IM_in_N": expected,
                 }
             if expected:
-                homogeneous.add(shaped)
+                homogeneous.add(_shape_members(M, I, N))
     lattice = set(all_ideals(T))
     if homogeneous - lattice:
         bad = min(homogeneous - lattice, key=sorted)
@@ -151,16 +164,31 @@ def verify_prime_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     return True, {}
 
 
+def _homogeneous_generators(R: FiniteRing, M: FiniteModule) -> list[tuple[frozenset, frozenset]]:
+    """aR x aM for each class representative a, then 0 x Rx for each distinct cyclic Rx.
+
+    Every homogeneous ideal I x N (IM <= N) is the sum of those with a in I
+    and x in N: their first parts sum to I, and their second parts to IM + N = N.
+    """
+    zero = frozenset({R.zero})
+    pairs = [(I, frozenset(M.act_table[a])) for I, a in principal_ideals(R).items()]
+    pairs += [(zero, C) for C in map(frozenset, zip(*M.act_table))]  # column x is Rx
+    return list(dict.fromkeys(pairs))
+
+
 def verify_ideal_product(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     """(I1 x N1)(I2 x N2) = (I1 I2) x (I1 N2 + I2 N1) on product-form ideals.
 
-    Every ordered pair is checked, so T's table is read at both (a, b) and (b, a).
+    Both sides distribute over sums of ideals, and a sum of product sets is
+    the product set of the sums, so the formula holds on every pair of
+    homogeneous ideals iff it holds on every ordered pair of generators.
     """
     T = idealize(R, M)
-    shaped = [(I, N, _shape_members(M, I, N)) for I, N in _homogeneous_ideals(R, M)]
+    shaped = [(I, N, _shape_members(M, I, N)) for I, N in _homogeneous_generators(R, M)]
+    firsts = list(dict.fromkeys(I for I, _, _ in shaped))
     # I1 I2 once per pair of ideals of R; rR = sR gives rN = sN, so IN is the sum of rN over class reps r in I
-    products = {(I1, I2): ideal_product(R, I1, I2) for I1 in all_ideals(R) for I2 in all_ideals(R)}
-    reps = {I: [r for r in principal_ideals(R).values() if r in I] for I in all_ideals(R)}
+    products = {(I1, I2): ideal_product(R, I1, I2) for I1 in firsts for I2 in firsts}
+    reps = {I: [r for r in principal_ideals(R).values() if r in I] for I in firsts}
     for I1, N1, J1 in shaped:
         for I2, N2, J2 in shaped:
             lhs = ideal_product(T, J1, J2)

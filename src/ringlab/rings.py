@@ -386,9 +386,17 @@ def ideal_product(R: FiniteRing, I: frozenset, J: frozenset) -> frozenset:
 
 
 def all_ideals(R: FiniteRing) -> list[frozenset]:
-    """The full ideal lattice, by closing principal ideals under sums."""
+    """The full ideal lattice, by closing {0} and the join-irreducible principal ideals under sums.
+
+    A principal ideal equal to the sum of the principal ideals strictly inside
+    it adds nothing to the closure; by induction on size every principal
+    ideal, so every ideal, is a sum of the ones kept.
+    """
     if "all_ideals" not in R._cache:
-        R._cache["all_ideals"] = lattice_by_sums(R.add_table, principal_ideals(R), R.label)
+        pids = sorted(principal_ideals(R), key=len)
+        irreducible = [P for i, P in enumerate(pids)
+                       if subgroup_span(R.add_table, (Q for Q in pids[:i] if Q < P)) != P]
+        R._cache["all_ideals"] = lattice_by_sums(R.add_table, [frozenset({R.zero}), *irreducible], R.label)
     return R._cache["all_ideals"]
 
 

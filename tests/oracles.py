@@ -15,8 +15,12 @@ The structure references are the routines the associate-class pass
 replaced: principal ideals from one frozenset per row, maximal ideals and
 minimal primes read off the whole ideal lattice, locality by the
 nonunits' closure under every sum, and SPIR as "every ideal is
-principal". The definitional checks (ring and module axioms, atoms,
-semisimplicity, ACCP and ACCC) close the file.
+principal". The idealization references check what ``idealization``
+checks on generators on every case instead: the ideal lattice closed
+from every principal ideal, the shape of every product set by the
+definitional ``is_ideal``, and the product formula on every ordered pair
+of homogeneous ideals. The definitional checks (ring and module axioms,
+atoms, semisimplicity, ACCP and ACCC) close the file.
 """
 
 from typing import Iterable
@@ -30,18 +34,21 @@ from ringlab.factor import (
     divisor_graph,
     is_accp,
 )
-from ringlab.idealization import idealize
-from ringlab.modules import FiniteModule, cyclic_submodule
+from ringlab.idealization import _acts_into, _shape_members, idealize
+from ringlab.modules import FiniteModule, all_submodules, cyclic_submodule
 from ringlab.rings import (
     FiniteRing,
     all_ideals,
     associate_class_rep,
     chain_height,
     ideal_product,
+    is_ideal,
     is_local,
     is_prime_ideal,
     is_unit,
+    lattice_by_sums,
     maximal_ideal,
+    multiples,
     nonunits,
     principal_ideals,
     subgroup_span,
@@ -265,12 +272,82 @@ def reference_is_spir(R: FiniteRing) -> bool:
     return p == {R.zero}
 
 
+def reference_all_ideals(R: FiniteRing) -> list[frozenset]:
+    """The full ideal lattice, by closing every principal ideal under sums (not cached)."""
+    return lattice_by_sums(R.add_table, principal_ideals(R), R.label)
+
+
 def ideal_sum(R: FiniteRing, I: frozenset, J: frozenset) -> frozenset:
     return subgroup_sum(R.add_table, I, J)
 
 
 def annihilator_of(M: FiniteModule, x: int) -> frozenset:
     return frozenset(r for r, row in enumerate(M.act_table) if row[x] == M.zero)
+
+
+# ---------------------------------------------------------------------------
+# idealization references
+
+
+def _homogeneous_ideals(
+    R: FiniteRing, M: FiniteModule
+) -> list[tuple[frozenset, frozenset]]:
+    """All (I, N) with IM <= N; these are exactly the product-form ideals.
+
+    Non-product ideals of R(+)M also exist (e.g. <(2,1)> in Z4(+)Z4),
+    so the shape statement is checked on product sets, not asserted for
+    the whole lattice.
+    """
+    out = []
+    for I in all_ideals(R):
+        for N in all_submodules(M):
+            if _acts_into(M, I, N):
+                out.append((I, N))
+    return out
+
+
+def reference_verify_ideal_shape(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
+    """A product set I x N is an ideal of R(+)M exactly when IM <= N."""
+    T = idealize(R, M)
+    homogeneous = set()
+    for I in all_ideals(R):
+        for N in all_submodules(M):
+            shaped = _shape_members(M, I, N)
+            expected = _acts_into(M, I, N)
+            if is_ideal(T, shaped) != expected:
+                return False, {
+                    "I": sorted(I), "N": sorted(N),
+                    "IM_in_N": expected,
+                }
+            if expected:
+                homogeneous.add(shaped)
+    lattice = set(all_ideals(T))
+    if homogeneous - lattice:
+        bad = min(homogeneous - lattice, key=sorted)
+        return False, {"reason": "product ideal missing from lattice",
+                       "members": sorted(bad)}
+    return True, {"homogeneous": len(homogeneous), "total_ideals": len(lattice)}
+
+
+def reference_verify_ideal_product(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
+    """(I1 x N1)(I2 x N2) = (I1 I2) x (I1 N2 + I2 N1) on product-form ideals.
+
+    Every ordered pair is checked, so T's table is read at both (a, b) and (b, a).
+    """
+    T = idealize(R, M)
+    shaped = [(I, N, _shape_members(M, I, N)) for I, N in _homogeneous_ideals(R, M)]
+    # I1 I2 once per pair of ideals of R; rR = sR gives rN = sN, so IN is the sum of rN over class reps r in I
+    products = {(I1, I2): ideal_product(R, I1, I2) for I1 in all_ideals(R) for I2 in all_ideals(R)}
+    reps = {I: [r for r in principal_ideals(R).values() if r in I] for I in all_ideals(R)}
+    for I1, N1, J1 in shaped:
+        for I2, N2, J2 in shaped:
+            lhs = ideal_product(T, J1, J2)
+            acted = multiples(M.act_table, reps[I1], N2) | multiples(M.act_table, reps[I2], N1)
+            rhs = _shape_members(M, products[I1, I2], subgroup_span(M.add_table, acted))
+            if lhs != rhs:
+                return False, {"J1": sorted(J1), "J2": sorted(J2),
+                               "lhs": sorted(lhs), "rhs": sorted(rhs)}
+    return True, {}
 
 
 # ---------------------------------------------------------------------------

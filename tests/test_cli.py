@@ -431,6 +431,15 @@ def test_recheck_replays_non_unique_witnesses(tmp_path, capsys, spec):
     assert code == 0 and json.loads(out)["report"]["failures"] == []
 
 
+@pytest.mark.parametrize("spec", ["idealize(Z4,self)", "idealize(Z27,mquot(free(1),[3]))"])
+def test_recheck_replays_a_non_unique_witness_in_process(spec):
+    from ringlab.reports import analyze_spec, recheck_report
+
+    report, _ = analyze_spec(spec)  # no JSON round trip in between
+    assert report["ufr_witness"]["reason"] == "non_unique"
+    assert recheck_report(report) == []
+
+
 @pytest.mark.parametrize("spec,field,violation", [
     ("Z521", "ufr_direct", "ufr_direct disagrees with Bouvier classification"),
     ("Z12", "atomic", "ACCP but not atomic"),

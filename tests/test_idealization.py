@@ -75,7 +75,8 @@ def test_unit_criterion_failure_names_the_pair(monkeypatch):
 
     R = make_zn(4)
     M = make_self_module(R)
-    monkeypatch.setattr(ringlab.idealization, "is_unit", lambda T, a: False)
+    T = idealize(R, M)
+    monkeypatch.setattr(ringlab.idealization, "units", lambda S: frozenset() if S is T else units(S))
     # the first pair misjudged is (1, 0), the unity of Z4(+)Z4
     assert verify_unit_criterion(R, M) == (False, {"pair": 4, "r": 1, "x": 0})
 
