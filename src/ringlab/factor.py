@@ -5,8 +5,8 @@ respects associates, so each is decided once per class, on its least
 element (a value of ``principal_ideals``), and a witness is the least
 element of its class. The divisor graph has an edge a -> t labeled s iff
 a = s*t for a nonunit s, so aR lies in tR and a cycle is a class self-loop
-x ~ s*x, that is ba = a. A ring that is not BFR names its cycle by a
-search that reads each node's successors only when it enters the node;
+x ~ s*x, that is ba = a. A ring that is not BFR names the cycle a search
+of that graph meets first, read off the self-loops without the search;
 ``divisor_graph`` builds the whole graph for the tests and the tracer.
 Zero is excluded here and left to the minimal-factorization search.
 """
@@ -21,7 +21,6 @@ from .modules import FiniteModule, is_bfm, is_semisimple, make_self_module, self
 from .rings import (
     FiniteRing,
     associate_class_rep,
-    chain_height,
     gather,
     ideal_product,
     is_field,
@@ -86,10 +85,19 @@ def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
 
 
 def _principal_heights(R: FiniteRing) -> dict[int, int]:
-    """Class representative x -> the length of the longest strict chain of principal ideals from xR to (0)."""
+    """Class representative x -> the length of the longest strict chain of principal ideals from xR to (0).
+
+    For y in aR, yR lies strictly inside aR iff y is not an associate of a, so h(a) is one more
+    than the largest h(rep[y]) over such y, and h(0) = 0. Smaller ideals are visited first.
+    """
     if "heights" not in R._cache:
-        height = chain_height(principal_ideals(R))
-        R._cache["heights"] = {a: height[m] for m, a in principal_ideals(R).items()}
+        rep = associate_class_rep(R)
+        height = [0] * R.size
+        for m, a in sorted(principal_ideals(R).items(), key=lambda item: len(item[0])):
+            below = set(map(rep.__getitem__, m))
+            below.discard(a)
+            height[a] = 1 + max(map(height.__getitem__, below), default=-1)
+        R._cache["heights"] = {a: height[a] for a in principal_ideals(R).values()}
     return R._cache["heights"]
 
 
@@ -148,51 +156,28 @@ def _nonunit_starts(R: FiniteRing) -> list[int]:
 
 
 def first_cycle(R: FiniteRing) -> dict | None:
-    """The first cycle a depth-first search of the nonunit part of the divisor graph meets,
-    as {"cycle": nodes, "labels": scalars} with cycle[k] = labels[k] * cycle[k+1]; None if it is acyclic.
+    """The first cycle a depth-first search of the nonunit part of the divisor graph meets
+    (starts in ``_nonunit_starts`` order, successors ascending), as {"cycle": [t], "labels": [b]}
+    with t = b*t and b the least such nonunit; None if the graph is acyclic.
 
-    The search is the one the graph's successor maps would drive: starts in
-    ``_nonunit_starts`` order, successors ascending, finished nodes skipped.
-    The successors of y, the nonzero nonunits t with y in t*nonunits, are
-    read only when the search takes them, each t*nonunits once per ring, and
-    labels only for the cycle returned.
+    Let L be the nonzero a with ba = a for a nonunit b. A cycle through z makes z = (s_1...s_k)z,
+    so z is in L; b(ra) = ra puts every nonzero multiple of a in L; a path from y to z puts y in zR.
+    So a node reaches a cycle iff it lies in L, and the search first enters L at the first start x
+    in L. For t in L, x lies in t*nonunits iff x lies in tR (ut = (ub)t), so the search goes from x
+    to the least t in L with x in tR; every successor t' of t in L has x in t'R, so t' >= t, and t
+    is its own successor.
     """
     nus = sorted(nonunits(R))
     times = gather(nus)
-    multiples: dict[int, frozenset] = {}
 
-    def successors(y: int):
-        for t in nus[1:]:
-            if t not in multiples:
-                multiples[t] = frozenset(times(R.mul_table[t]))
-            if y in multiples[t]:
-                yield t
+    def in_l(a: int) -> bool:
+        return a in times(R.mul_table[a])
 
-    done, on_path = set(), set()
-    for s in _nonunit_starts(R):
-        if s in done:
-            continue
-        on_path.add(s)
-        path, its = [s], [successors(s)]
-        while path:
-            for y in its[-1]:
-                if y in on_path:
-                    cycle = path[path.index(y):]
-                    # the least nonunit s with s*t = u, for each edge u -> t
-                    labels = [next(b for b in nus if R.mul_table[t][b] == u)
-                              for u, t in zip(cycle, cycle[1:] + cycle[:1])]
-                    return {"cycle": cycle, "labels": labels}
-                if y not in done:
-                    on_path.add(y)
-                    path.append(y)
-                    its.append(successors(y))
-                    break
-            else:
-                v = path.pop()
-                its.pop()
-                on_path.discard(v)
-                done.add(v)
-    return None
+    x = next(filter(in_l, _nonunit_starts(R)), None)
+    if x is None:
+        return None
+    t = next(t for t in nus[1:] if x in R.mul_table[t] and in_l(t))
+    return {"cycle": [t], "labels": [nus[times(R.mul_table[t]).index(t)]]}
 
 
 def is_bfr(R: FiniteRing) -> tuple[bool, dict]:

@@ -260,6 +260,8 @@ def recheck_report(report: dict, *, cap: int = DEFAULT_SIZE_CAP) -> list[str]:
         failures.append("unit count mismatch")
     if report["bouvier_class"] != bouvier_class(R):
         failures.append("bouvier class mismatch")
+    if report["u_bounded_max_len"] != u_boundedness_of_zero(R)[1]:
+        failures.append("u-bounded length mismatch")
     if report["ufr_direct"] != (report["bouvier_class"] != "none"):
         failures.append("ufr flag inconsistent with bouvier class")
     return failures

@@ -181,14 +181,6 @@ def multiples(rows: list[array], A: Iterable[int], B: Iterable[int]) -> set[froz
     return {frozenset(get(rows[a])) for a in A}
 
 
-def chain_height(family: Iterable[frozenset]) -> dict[frozenset, int]:
-    """Each set's height: the length of the longest strict chain of the family's sets below it."""
-    height: dict[frozenset, int] = {}
-    for s in sorted(set(family), key=len):
-        height[s] = max((h + 1 for t, h in height.items() if t < s), default=0)
-    return height
-
-
 def lattice_by_sums(add_table: list[array], cyclic: Iterable[frozenset], label: str) -> list[frozenset]:
     """All sums of the cyclic subgroups given (ideals from principal ideals, submodules),
     smallest first, ties broken by the sorted members.

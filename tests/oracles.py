@@ -3,8 +3,8 @@
 Factorization lengths of single elements come from a depth-first search
 (``search``) of the element divisor graph; the brute-force oracles layer
 products of exactly k nonunits instead. The same search over the whole
-graph is the reference for ``factor.is_bfr``, whose cycle finder reads a
-node's successors only when it enters the node. The module divisor graph
+graph is the reference for ``factor.is_bfr``, whose cycle finder reads the
+first cycle off the self-loops without a search. The module divisor graph
 and its search heights are the reference for ``modules.is_bfm``, which
 decides BFM by a self-loop scan: ``reference_is_bfm`` returns the graph's
 first cycle, or the longest chain of nonunit scalars below each nonzero
@@ -15,12 +15,14 @@ The structure references are the routines the associate-class pass
 replaced: principal ideals from one frozenset per row, maximal ideals and
 minimal primes read off the whole ideal lattice, locality by the
 nonunits' closure under every sum, and SPIR as "every ideal is
-principal". The idealization references check what ``idealization``
-checks on generators on every case instead: the ideal lattice closed
-from every principal ideal, the shape of every product set by the
-definitional ``is_ideal``, and the product formula on every ordered pair
-of homogeneous ideals. The definitional checks (ring and module axioms,
-atoms, semisimplicity, ACCP and ACCC) close the file.
+principal". ``chain_height`` compares every pair of principal ideals
+for the heights that ``factor`` reads from each class's own ideal. The
+idealization references check what ``idealization`` checks on generators
+on every case instead: the ideal lattice closed from every principal
+ideal, the shape of every product set by the definitional ``is_ideal``,
+and the product formula on every ordered pair of homogeneous ideals. The
+definitional checks (ring and module axioms, atoms, semisimplicity, ACCP
+and ACCC) close the file.
 """
 
 from typing import Iterable
@@ -40,7 +42,6 @@ from ringlab.rings import (
     FiniteRing,
     all_ideals,
     associate_class_rep,
-    chain_height,
     ideal_product,
     is_ideal,
     is_local,
@@ -229,6 +230,20 @@ def reference_principal_ideals(R: FiniteRing) -> tuple[dict[frozenset, int], lis
     found: dict[frozenset, int] = {}
     rep = [found.setdefault(m, a) for a, m in enumerate(map(frozenset, R.mul_table))]
     return found, rep
+
+
+def chain_height(family: Iterable[frozenset]) -> dict[frozenset, int]:
+    """Each set's height: the length of the longest strict chain of the family's sets below it."""
+    height: dict[frozenset, int] = {}
+    for s in sorted(set(family), key=len):
+        height[s] = max((h + 1 for t, h in height.items() if t < s), default=0)
+    return height
+
+
+def reference_principal_heights(R: FiniteRing) -> dict[int, int]:
+    """Class representative -> principal-ideal chain height, comparing every pair of classes."""
+    height = chain_height(principal_ideals(R))
+    return {a: height[m] for m, a in principal_ideals(R).items()}
 
 
 def reference_maximal_and_min_primes(R: FiniteRing) -> tuple[list[frozenset], list[frozenset]]:

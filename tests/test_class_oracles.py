@@ -5,12 +5,13 @@ hit; the reference lists every minimal factorization of 0. The prime test
 and the ideal product read one element of each associate class; the
 references read every element. The classes are unit orbits, the maximal
 ideals are maximal annihilators, locality is checked on class
-representatives, SPIR is "m is principal" and the BFR cycle comes from a
-search that builds successors as it goes; the references are a frozenset
-per row, the whole ideal lattice, every pair of nonunits, "every ideal is
-principal" and a search of the whole divisor graph. Rings: the acceptance
-RING_SPECS, Z65..Z129 (Z65..Z199 for the structure pass) and the
-idealizations of the PAIR_SPECS with at most 256 elements.
+representatives, SPIR is "m is principal", the BFR cycle is read off the
+self-loops and each principal-ideal height from the class's own ideal;
+the references are a frozenset per row, the whole ideal lattice, every
+pair of nonunits, "every ideal is principal", a search of the whole
+divisor graph and every pair of principal ideals. Rings: the acceptance
+RING_SPECS, Z65..Z129 (Z65..Z199, Z2^8 and Z3^4 for the structure pass)
+and the idealizations of the PAIR_SPECS with at most 256 elements.
 """
 
 import json
@@ -47,6 +48,7 @@ from oracles import (
     reference_is_spir,
     reference_maximal_and_min_primes,
     reference_nonunits_closed,
+    reference_principal_heights,
     reference_principal_ideals,
     reference_units,
 )
@@ -57,7 +59,8 @@ IDEALIZATIONS = [(rs, ms) for rs, ms in PAIR_SPECS if ring(rs).size * pair(rs, m
 ZERO_SEARCH_RINGS = list(dict.fromkeys(
     RING_SPECS + [f"Z{n}" for n in range(65, 130)] + [f"idealize({rs},{ms})" for rs, ms in IDEALIZATIONS]
 ))
-STRUCTURE_RINGS = ZERO_SEARCH_RINGS + [f"Z{n}" for n in range(130, 200)]
+STRUCTURE_RINGS = ZERO_SEARCH_RINGS + [f"Z{n}" for n in range(130, 200)] + [
+    " x ".join(["Z2"] * 8), " x ".join(["Z3"] * 4)]
 
 
 def reference_minimal_factorizations_of_zero(R):
@@ -133,6 +136,7 @@ def test_class_structure_matches_references(spec):
     # byte-equal BFR witnesses, key order included
     assert json.dumps(first_cycle(R)) == json.dumps(reference_first_cycle(R))
     assert (first_cycle(R) is None) == is_bfr(R)[0]
+    assert _principal_heights(R) == reference_principal_heights(R)
 
 
 def test_units_skip_a_one_read_across_two_entries():

@@ -181,6 +181,18 @@ def test_recheck_fails_a_report_that_breaks_an_implication(tmp_path, capsys):
     assert json.loads(out)["report"]["failures"] == [{"spec": "Z6", "failure": "BFR but not presimplifiable"}]
 
 
+def test_recheck_fails_a_u_bounded_length_below_the_maximum(tmp_path, capsys):
+    # [0] is a minimal factorization of 0 of length 1 and replays, but Z6's longest is [2, 3]
+    _, out = run(capsys, "analyze", "Z6")
+    payload = json.loads(out)
+    payload["report"].update(u_bounded_max_len=1, u_bounded_example=[0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out = run(capsys, "recheck", str(bad))
+    assert code == 2
+    assert json.loads(out)["report"]["failures"] == [{"spec": "Z6", "failure": "u-bounded length mismatch"}]
+
+
 def test_recheck_needs_every_report_field(tmp_path, capsys):
     cfg = tmp_path / "corpus.txt"
     cfg.write_text("Z6\nZ8\n")
