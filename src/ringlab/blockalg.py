@@ -110,18 +110,6 @@ class BlockAlgebra:
     def is_unit(self, a: int) -> bool:
         return bool(a & 1)
 
-    def inverse(self, a: int) -> int:
-        """Geometric series; valid since the augmentation ideal is nilpotent."""
-        if not self.is_unit(a):
-            raise InvalidQuery("not a unit")
-        m = a ^ 1
-        inv = self.one()
-        power = self.one()
-        for _ in range(self.n + 2):
-            power = self.mul(power, m)
-            inv = self.add(inv, power)
-        return inv
-
 
 def make_block_algebra(n: int) -> BlockAlgebra:
     return BlockAlgebra(n)

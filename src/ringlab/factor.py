@@ -31,6 +31,7 @@ from .rings import (
     maximal_ideal,
     min_primes,
     nonunits,
+    principal_heights,
     principal_ideals,
 )
 
@@ -84,26 +85,9 @@ def is_presimplifiable(R: FiniteRing) -> tuple[bool, dict]:
     return False, {"a": a, "b": b}
 
 
-def _principal_heights(R: FiniteRing) -> dict[int, int]:
-    """Class representative x -> the length of the longest strict chain of principal ideals from xR to (0).
-
-    For y in aR, yR lies strictly inside aR iff y is not an associate of a, so h(a) is one more
-    than the largest h(rep[y]) over such y, and h(0) = 0. Smaller ideals are visited first.
-    """
-    if "heights" not in R._cache:
-        rep = associate_class_rep(R)
-        height = [0] * R.size
-        for m, a in sorted(principal_ideals(R).items(), key=lambda item: len(item[0])):
-            below = set(map(rep.__getitem__, m))
-            below.discard(a)
-            height[a] = 1 + max(map(height.__getitem__, below), default=-1)
-        R._cache["heights"] = {a: height[a] for a in principal_ideals(R).values()}
-    return R._cache["heights"]
-
-
 def is_accp(R: FiniteRing) -> tuple[bool, int]:
     """Always true at finite scale; returns the principal-ideal chain height."""
-    return True, max(_principal_heights(R).values())
+    return True, max(principal_heights(R).values())
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +194,7 @@ def minimal_factorizations_of_zero(R: FiniteRing) -> list[tuple[int, ...]]:
     l + h(p). For L = h(1), h(1) - 1, ... the search skips prefixes with l + h(p) < L
     and stops at its first hit of length L (L = 1 hits 0).
     """
-    reps, rep, h = _nonunit_reps(R), associate_class_rep(R), _principal_heights(R)
+    reps, rep, h = _nonunit_reps(R), associate_class_rep(R), principal_heights(R)
     budget = iter(range(ZERO_SEARCH_BUDGET))
 
     def extend(prefix: list[int], strict_prods: frozenset, full_prod: int, start: int, target: int):

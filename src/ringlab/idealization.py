@@ -138,12 +138,6 @@ def verify_ideal_shape(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     return True, {"homogeneous": len(homogeneous), "total_ideals": len(lattice)}
 
 
-def _decompose(M: FiniteModule, J: frozenset) -> tuple[frozenset, frozenset]:
-    I = frozenset(divmod(a, M.size)[0] for a in J)
-    N = frozenset(divmod(a, M.size)[1] for a in J)
-    return I, N
-
-
 def verify_prime_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     """Primes of R(+)M are exactly I x M with I prime in R.
 
@@ -152,7 +146,7 @@ def verify_prime_criterion(R: FiniteRing, M: FiniteModule) -> tuple[bool, dict]:
     """
     T = idealize(R, M)
     for J in all_ideals(T):
-        I, _ = _decompose(M, J)
+        I = frozenset(a // M.size for a in J)
         lhs = is_prime_ideal(T, J)
         rhs = (
             J == _shape_members(M, I, frozenset(M.elements()))

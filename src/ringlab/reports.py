@@ -231,7 +231,8 @@ def _is_atom(R: FiniteRing, rep: list[int], f: int) -> bool:
 
 
 def recheck_report(report: dict, *, cap: int = DEFAULT_SIZE_CAP) -> list[str]:
-    """Rebuild the ring from the report's spec and re-validate witnesses.
+    """Rebuild the ring from the report's spec, re-validate witnesses and recompute the
+    fields that are cheap to recompute.
 
     Returns a list of failure descriptions (empty means everything replays
     and no implication between the verdicts is broken).
@@ -256,10 +257,18 @@ def recheck_report(report: dict, *, cap: int = DEFAULT_SIZE_CAP) -> list[str]:
         if not _replay_u_bounded(R, example) or len(example) != report["u_bounded_max_len"]:
             failures.append("u-bounded example does not replay")
     # classification fields are cheap to recompute, so recheck them outright
-    if report["unit_count"] != len(units(R)):
-        failures.append("unit count mismatch")
-    if report["bouvier_class"] != bouvier_class(R):
-        failures.append("bouvier class mismatch")
+    recomputed = {
+        "unit_count": len(units(R)),
+        "bouvier_class": bouvier_class(R),
+        "reduced": is_reduced(R),
+        "local": is_local(R),
+        "field": is_field(R),
+        "spir": is_spir(R),
+        "presimplifiable": is_presimplifiable(R)[0],
+        "accp_height": is_accp(R)[1],
+        "min_prime_count": len(min_primes(R)),
+    }
+    failures += [f"{name.replace('_', ' ')} mismatch" for name, value in recomputed.items() if report[name] != value]
     if report["u_bounded_max_len"] != u_boundedness_of_zero(R)[1]:
         failures.append("u-bounded length mismatch")
     if report["ufr_direct"] != (report["bouvier_class"] != "none"):

@@ -358,6 +358,23 @@ def principal_ideals(R: FiniteRing) -> dict[frozenset, int]:
     return R._cache["principal_ideals"]
 
 
+def principal_heights(R: FiniteRing) -> dict[int, int]:
+    """Class representative x -> the length of the longest strict chain of principal ideals from xR to (0).
+
+    For y in aR, yR lies strictly inside aR iff y is not an associate of a, so h(a) is one more
+    than the largest h(rep[y]) over such y, and h(0) = 0. Smaller ideals are visited first.
+    """
+    if "heights" not in R._cache:
+        rep = associate_class_rep(R)
+        height = [0] * R.size
+        for m, a in sorted(principal_ideals(R).items(), key=lambda item: len(item[0])):
+            below = set(map(rep.__getitem__, m))
+            below.discard(a)
+            height[a] = 1 + max(map(height.__getitem__, below), default=-1)
+        R._cache["heights"] = {a: height[a] for a in principal_ideals(R).values()}
+    return R._cache["heights"]
+
+
 def associate_class_rep(R: FiniteRing) -> list[int]:
     """Map each element to the minimal index generating the same principal ideal."""
     principal_ideals(R)
@@ -393,30 +410,31 @@ def all_ideals(R: FiniteRing) -> list[frozenset]:
 
 
 def is_prime_ideal(R: FiniteRing, I: frozenset) -> bool:
-    """I is proper and no product of two elements outside I falls in I. I must be an ideal: a = ub,
-    u a unit, gives a in I iff b in I and ab' in I iff bb' in I, so one element per class is tested."""
+    """I is proper and each a outside I is invertible mod I: aR + I = R, read as
+    |aR| |I| = |R| |aR & I|, since |A + B| = |A| |B| / |A & B| for subgroups. Then R/I is a
+    field, so I is maximal and prime; a prime of a finite ring is maximal. I must be an ideal:
+    aR is the same for each a of a class, so one a per class is read.
+    """
     if len(I) == R.size:
         return False
-    outside = [a for a in principal_ideals(R).values() if a not in I]
-    return all(I.isdisjoint(get(R.mul_table[a])) for get in [gather(outside)] for a in outside)
+    return all(len(A) * len(I) == R.size * len(A & I) for A, a in principal_ideals(R).items() if a not in I)
 
 
 def maximal_ideals(R: FiniteRing) -> list[frozenset]:
-    """The maximal members of {ann(x) : x != 0}, one x per associate class (ann(ux) = ann(x)),
-    smallest first, ties broken by the sorted members.
+    """The distinct ann(x) over the class representatives x of height 1, smallest first,
+    ties broken by the sorted members (ann(ux) = ann(x)).
 
-    In a finite (Artin) ring these are the maximal ideals. Cross-check: each
-    is prime and together they cover the nonunits, so by prime avoidance
-    every maximal ideal, which lies among the nonunits, is one of them.
+    h(x) = 1 iff xR is a minimal ideal, and then R/ann(x), isomorphic to xR, is
+    simple, so ann(x) is maximal. Every maximal m of a finite (Artin) ring is
+    ann(x) for some x (Matsumura, section 6), and then xR, isomorphic to R/m,
+    is simple, so h(x) = 1.
+    Cross-check: each is prime and together they cover the nonunits, so by
+    prime avoidance every maximal ideal, which lies among the nonunits, is one
+    of them.
     """
     if "maximal_ideals" not in R._cache:
-        anns = {annihilator(R, x) for x in principal_ideals(R).values() if x != R.zero}
-        # larger ones first: an annihilator that is not maximal lies in a maximal one already found
-        maxi: list[frozenset] = []
-        for I in sorted(anns, key=len, reverse=True):
-            if not any(I < J for J in maxi):
-                maxi.append(I)
-        maxi.sort(key=lambda m: (len(m), sorted(m)))
+        socle = {annihilator(R, x) for x, h in principal_heights(R).items() if h == 1}
+        maxi = sorted(socle, key=lambda m: (len(m), sorted(m)))
         if not all(is_prime_ideal(R, I) for I in maxi) or frozenset().union(*maxi) != nonunits(R):
             raise TheoremViolation(f"maximal ideals cross-check failed on {R.label}")
         R._cache["maximal_ideals"] = maxi

@@ -4,7 +4,7 @@ The zero search tries one target length at a time and stops at its first
 hit; the reference lists every minimal factorization of 0. The prime test
 and the ideal product read one element of each associate class; the
 references read every element. The classes are unit orbits, the maximal
-ideals are maximal annihilators, locality is checked on class
+ideals are the annihilators of the height-1 classes, locality is checked on class
 representatives, SPIR is "m is principal", the BFR cycle is read off the
 self-loops and each principal-ideal height from the class's own ideal;
 the references are a frozenset per row, the whole ideal lattice, every
@@ -21,7 +21,6 @@ import pytest
 from ringlab.factor import (
     ZERO_SEARCH_BUDGET,
     _nonunit_reps,
-    _principal_heights,
     first_cycle,
     is_bfr,
     minimal_factorizations_of_zero,
@@ -39,6 +38,7 @@ from ringlab.rings import (
     maximal_ideals,
     min_primes,
     nonunits,
+    principal_heights,
     principal_ideals,
     units,
 )
@@ -105,7 +105,7 @@ def test_zero_search_matches_reference(spec):
     assert minimal_factorizations_of_zero(R) == [longest]
     assert u_boundedness_of_zero(R) == (True, len(longest), longest)
     # the first target, the height of the chain from R down to (0), is always reached
-    assert len(longest) == _principal_heights(R)[R.one]
+    assert len(longest) == principal_heights(R)[R.one]
 
 
 @pytest.mark.parametrize("ring_spec,module_spec", IDEALIZATIONS)
@@ -136,7 +136,7 @@ def test_class_structure_matches_references(spec):
     # byte-equal BFR witnesses, key order included
     assert json.dumps(first_cycle(R)) == json.dumps(reference_first_cycle(R))
     assert (first_cycle(R) is None) == is_bfr(R)[0]
-    assert _principal_heights(R) == reference_principal_heights(R)
+    assert principal_heights(R) == reference_principal_heights(R)
 
 
 def test_units_skip_a_one_read_across_two_entries():

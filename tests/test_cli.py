@@ -193,6 +193,31 @@ def test_recheck_fails_a_u_bounded_length_below_the_maximum(tmp_path, capsys):
     assert json.loads(out)["report"]["failures"] == [{"spec": "Z6", "failure": "u-bounded length mismatch"}]
 
 
+# a cheap field set to a value the ring does not have; no witness or implication catches any of them
+TAMPERED_FIELDS = [
+    ("Z6", "reduced", False),
+    ("Z8", "local", False),
+    ("Z4 x Z4", "field", True),
+    ("Z8", "spir", False),
+    ("Z6", "accp_height", 5),
+    ("Z4 x Z4", "min_prime_count", 4),
+    ("Z6", "presimplifiable", True),
+]
+
+
+@pytest.mark.parametrize("spec,field,value", TAMPERED_FIELDS)
+def test_recheck_recomputes_a_tampered_field(tmp_path, capsys, spec, field, value):
+    _, out = run(capsys, "analyze", spec)
+    payload = json.loads(out)
+    assert payload["report"][field] != value
+    payload["report"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out = run(capsys, "recheck", str(bad))
+    assert code == 2
+    assert json.loads(out)["report"]["failures"] == [{"spec": spec, "failure": f"{field.replace('_', ' ')} mismatch"}]
+
+
 def test_recheck_needs_every_report_field(tmp_path, capsys):
     cfg = tmp_path / "corpus.txt"
     cfg.write_text("Z6\nZ8\n")
@@ -320,6 +345,18 @@ def test_maximal_ideal_cross_check_failure_is_a_theorem_violation(monkeypatch, c
     monkeypatch.setattr(rings, "is_prime_ideal", lambda R, I: False)
     assert main(["analyze", "Z6"]) == 2
     assert _error_kind(capsys) == "TheoremViolation"
+
+
+def test_maximal_ideals_that_miss_a_nonunit_are_a_theorem_violation(monkeypatch, capsys):
+    from ringlab import rings
+
+    # without the class 2 of Z6 the socle read finds only ann(3) = (2), which is prime but misses 3
+    heights = rings.principal_heights
+    monkeypatch.setattr(rings, "principal_heights", lambda R: {x: h for x, h in heights(R).items() if x != 2})
+    assert main(["analyze", "Z6"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["kind"] == "TheoremViolation"
+    assert error["error"] == "maximal ideals cross-check failed on Z6"
 
 
 def test_presimplifiable_disagreeing_with_the_class_self_loop_is_a_theorem_violation(monkeypatch, capsys):
